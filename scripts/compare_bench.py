@@ -1,35 +1,27 @@
 #!/usr/bin/env python3
-"""Perf regression gate over BENCH_*.json records.
+"""Perf regression gate over BENCH_batch.json records.
 
-Compares a freshly measured matrix against the committed baseline cell by
-cell. Two record shapes are known, selected with --bench:
-
-  batch   (default)  BENCH_batch.json    cell = (workload, schedule, threads)
-                                         metric = inst_per_s
-  kernels            BENCH_kernels.json  cell = (kernel, bits, tier)
-                                         metric = ops_per_s
-
-The gate fails (exit 1) when any cell's fresh metric drops more than
---threshold (default 15%) below the baseline.
+Compares a freshly measured batch-throughput matrix against the committed
+baseline (bench/baselines/BENCH_batch.json) cell by cell, where a cell is
+one (workload, schedule, threads) combination and the metric is
+inst_per_s. The gate fails (exit 1) when any cell's fresh throughput
+drops more than --threshold (default 15%) below the baseline.
 
 Both inputs may be a bare JSON record or a full bench log; the first line
-containing the record mark (`"bench":"batch_throughput"` or
-`"bench":"kernels"`) is used. Cells present on only one side are reported
-but never fail the gate — only along the machine-dependent dimension
-(threads for batch: core counts differ; tier for kernels: a runner
-without AVX-512 has no avx512 cells). A (workload, schedule) or
-(kernel, bits) pair that vanished entirely means the matrix was
-renamed/reshaped, and is a hard failure: tolerating it would silently
-disarm the gate for those cells forever. Zero matching cells likewise
-fails.
+containing `"bench":"batch_throughput"` is used. Cells present on only
+one side are reported but never fail the gate (CI machines differ in
+core count, so e.g. a threads=ncpu row may not match). The gate fails
+closed otherwise: a (workload, schedule) pair that vanished entirely
+means the matrix was renamed or reshaped, and zero matching cells means
+nothing was compared; both exit 1.
 
 Usage:
-  scripts/compare_bench.py BASELINE FRESH [--threshold 0.15] [--bench kernels]
-  scripts/compare_bench.py --update FRESH [--bench kernels]   # rewrite baseline
+  scripts/compare_bench.py BASELINE FRESH [--threshold 0.15]
+  scripts/compare_bench.py --update FRESH   # rewrite the baseline in place
 
 Override: pushes whose head commit message contains [perf-override] skip
 the gate in CI (see .github/workflows/ci.yml and CONTRIBUTING.md) — use
-it for commits that knowingly trade throughput for something else.
+it for commits that knowingly trade batch throughput for something else.
 """
 
 import argparse
@@ -37,49 +29,30 @@ import json
 import pathlib
 import sys
 
-BASELINE_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench/baselines"
-
-# dims: cell key fields in order; the LAST one is the machine-dependent
-# dimension whose missing cells are tolerated (see module docstring).
-BENCHES = {
-    "batch": {
-        "mark": '"bench":"batch_throughput"',
-        "baseline": "BENCH_batch.json",
-        "dims": ("workload", "schedule", "threads"),
-        "metric": "inst_per_s",
-    },
-    "kernels": {
-        "mark": '"bench":"kernels"',
-        "baseline": "BENCH_kernels.json",
-        "dims": ("kernel", "bits", "tier"),
-        "metric": "ops_per_s",
-    },
-}
+BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / (
+    "bench/baselines/BENCH_batch.json"
+)
+RECORD_MARK = '"bench":"batch_throughput"'
 
 
-def load_record(path, mark):
-    """Returns the parsed record found in `path`."""
+def load_record(path):
+    """Returns the parsed batch_throughput record found in `path`."""
     text = pathlib.Path(path).read_text()
     for line in text.splitlines():
-        if mark in line:
+        if RECORD_MARK in line:
             return json.loads(line[line.index("{"):])
-    raise SystemExit(f"{path}: no {mark} record found")
+    raise SystemExit(f"{path}: no {RECORD_MARK} record found")
 
 
-def cell_key(row, dims):
-    return tuple(int(row[d]) if isinstance(row[d], (int, float)) else row[d]
-                 for d in dims)
+def cell_key(row):
+    return (row["workload"], row["schedule"], int(row["threads"]))
 
 
-def cells_of(record, spec):
+def cells_of(record):
     cells = {}
     for row in record.get("rows", []):
-        cells[cell_key(row, spec["dims"])] = float(row[spec["metric"]])
+        cells[cell_key(row)] = float(row["inst_per_s"])
     return cells
-
-
-def cell_name(key):
-    return "/".join(str(k) for k in key)
 
 
 def main():
@@ -88,31 +61,27 @@ def main():
     parser.add_argument("fresh", nargs="?", help="freshly measured record")
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="max tolerated relative drop per cell (default 0.15)")
-    parser.add_argument("--bench", choices=sorted(BENCHES), default="batch",
-                        help="record shape to compare (default batch)")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the committed baseline from the record")
+                        help="rewrite bench/baselines/BENCH_batch.json from the record")
     args = parser.parse_args()
-    spec = BENCHES[args.bench]
-    baseline_path = BASELINE_DIR / spec["baseline"]
 
     if args.update:
-        record = load_record(args.baseline, spec["mark"])
-        baseline_path.parent.mkdir(parents=True, exist_ok=True)
-        baseline_path.write_text(json.dumps(record, separators=(",", ":")) + "\n")
-        print(f"baseline updated: {baseline_path} ({len(record['rows'])} cells)")
+        record = load_record(args.baseline)
+        BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
+        BASELINE_PATH.write_text(json.dumps(record, separators=(",", ":")) + "\n")
+        print(f"baseline updated: {BASELINE_PATH} ({len(record['rows'])} cells)")
         return 0
 
     if args.fresh is None:
         parser.error("FRESH is required unless --update is given")
-    base = cells_of(load_record(args.baseline, spec["mark"]), spec)
-    fresh = cells_of(load_record(args.fresh, spec["mark"]), spec)
+    base = cells_of(load_record(args.baseline))
+    fresh = cells_of(load_record(args.fresh))
 
     regressions = []
     matched = 0
     print(f"{'cell':<40} {'baseline':>12} {'fresh':>12} {'ratio':>7}")
-    for key in sorted(base, key=cell_name):
-        name = cell_name(key)
+    for key in sorted(base):
+        name = f"{key[0]}/{key[1]}/t{key[2]}"
         if key not in fresh:
             print(f"{name:<40} {base[key]:>12.0f} {'missing':>12} {'-':>7}")
             continue
@@ -124,21 +93,21 @@ def main():
             flag = "  << REGRESSION"
         print(f"{name:<40} {base[key]:>12.0f} {fresh[key]:>12.0f} "
               f"{ratio:>7.3f}{flag}")
-    for key in sorted(set(fresh) - set(base), key=cell_name):
-        print(f"{cell_name(key):<40} {'missing':>12} {fresh[key]:>12.0f} "
-              f"{'-':>7}  (new cell)")
+    for key in sorted(set(fresh) - set(base)):
+        name = f"{key[0]}/{key[1]}/t{key[2]}"
+        print(f"{name:<40} {'missing':>12} {fresh[key]:>12.0f} {'-':>7}  (new cell)")
 
-    # Only the final dimension legitimately differs across machines; a
-    # pair over the leading dimensions that vanished entirely means the
-    # matrix was renamed/reshaped, and tolerating it would silently
-    # disarm the gate for those cells forever. Refresh the baseline
-    # deliberately instead.
-    missing_pairs = sorted({k[:-1] for k in base} - {k[:-1] for k in fresh})
+    # Only the threads dimension legitimately differs across machines
+    # (core counts); a (workload, schedule) pair that vanished entirely
+    # means the matrix was renamed/reshaped, and tolerating it would
+    # silently disarm the gate for those cells forever. Refresh the
+    # baseline deliberately instead.
+    missing_pairs = sorted({(w, s) for (w, s, _) in base} -
+                           {(w, s) for (w, s, _) in fresh})
     if missing_pairs or matched == 0:
-        what = (", ".join(cell_name(p) for p in missing_pairs)
+        what = (", ".join(f"{w}/{s}" for w, s in missing_pairs)
                 if missing_pairs else "every cell")
-        lead = "/".join(spec["dims"][:-1])
-        print(f"\nFAIL: baseline ({lead}) pairs absent from "
+        print(f"\nFAIL: baseline (workload, schedule) pairs absent from "
               f"the fresh record: {what} — the matrix shape changed; "
               f"refresh bench/baselines via compare_bench.py --update "
               f"(see CONTRIBUTING.md).")

@@ -58,7 +58,6 @@
 
 #include "core/transport.hpp"  // internal: drive endpoint parsing
 #include "remote/worker.hpp"   // internal: the `wdag worker` process
-#include "util/simd.hpp"       // internal: --version reports the ISA tier
 
 namespace {
 
@@ -270,14 +269,12 @@ int usage(std::ostream& os) {
         "global flags:\n"
         "  --help         print this help and exit 0\n"
         "  --version      print 'wdag VERSION (build-type, arch) [simd:\n"
-        "                 tier]' and exit; fails on a bad WDAG_FORCE_ISA,\n"
-        "                 so it doubles as an ISA reachability probe\n"
+        "                 scalar]' and exit (the tag is fixed; it goes\n"
+        "                 away in 0.4.0)\n"
         "\n"
         "environment:\n"
-        "  WDAG_FORCE_ISA pin the SIMD kernel dispatch to one ISA tier\n"
-        "                 (scalar | sse2 | avx2 | avx512) instead of the\n"
-        "                 highest the CPU supports; an unreachable tier is\n"
-        "                 a usage error, never a silent fallback\n"
+        "  WDAG_FORCE_ISA deprecated, no effect: setting it prints one\n"
+        "                 warning on stderr (removed in 0.4.0)\n"
         "  WDAG_AFFINITY  pin pool workers to CPUs (Linux): 'on' pins\n"
         "                 worker i to cpu i, a comma list '0,2,4' cycles\n"
         "                 through those CPUs; unset/'off' leaves the OS free\n"
@@ -1135,6 +1132,10 @@ int main(int argc, char** argv) {
   // that disappears mid-write must surface as a failed write, never kill
   // the process (regression-tested by serve_sigpipe).
   wdag::util::ignore_sigpipe();
+  if (std::getenv("WDAG_FORCE_ISA") != nullptr) {
+    std::cerr << "wdag: WDAG_FORCE_ISA is deprecated and has no effect "
+                 "(there is one bitset path); it is removed in 0.4.0\n";
+  }
   try {
     const Cli cli(argc, argv);
     if (cli.has("help")) {
@@ -1142,16 +1143,8 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cli.has("version")) {
-      // active_tier() resolves the SIMD dispatch (and validates
-      // WDAG_FORCE_ISA, exiting via the catch below when it names an
-      // unknown or unreachable tier) — so `WDAG_FORCE_ISA=x wdag
-      // --version` doubles as the reachability probe CI loops over.
-      // Resolve BEFORE streaming so a rejected override never leaves a
-      // half-printed version line on stdout.
-      const char* tier =
-          wdag::util::simd::tier_name(wdag::util::simd::active_tier());
-      std::cout << wdag::util::build_info_line() << " [simd: " << tier
-                << "]\n";
+      // The fixed tag keeps scripts that parse it working until 0.4.0.
+      std::cout << wdag::util::build_info_line() << " [simd: scalar]\n";
       return 0;
     }
     if (cli.positional().empty()) return usage(std::cerr);

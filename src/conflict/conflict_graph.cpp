@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "util/check.hpp"
-#include "util/simd.hpp"
 
 namespace wdag::conflict {
 
@@ -26,7 +25,9 @@ ConflictGraph::ConflictGraph(const paths::DipathFamily& family) {
 void ConflictGraph::rebuild(const paths::DipathFamily& family) {
   const std::size_t n = family.size();
   reset_rows(n);
-  const std::size_t words = (n + 63) / 64;
+  // A local, not words_: row writes are uint64_t stores, which may alias
+  // a size_t member and would block vectorizing the splat below.
+  const std::size_t words = words_;
   util::DynamicBitset& mask = group_mask_scratch();
   bool mask_live = false;
   paths::for_each_arc_group(family, [&](const paths::PathId* ids,
@@ -48,13 +49,13 @@ void ConflictGraph::rebuild(const paths::DipathFamily& family) {
       mask.clear_all();
     }
     for (std::size_t i = 0; i < g; ++i) mask.set_unchecked(ids[i]);
-    const util::ConstBitsetView mask_view = mask;
-    util::simd::or_rows(pool_.data(), stride_, ids, g, mask_view.data(),
-                        words);
-    // The OR splat put every member on its own row; clear the diagonal.
+    const std::uint64_t* src = util::ConstBitsetView(mask).data();
     for (std::size_t i = 0; i < g; ++i) {
       const std::size_t u = ids[i];
-      row(u)[u / 64] &= ~(std::uint64_t{1} << (u % 64));
+      std::uint64_t* dst = row(u);
+      for (std::size_t w = 0; w < words; ++w) dst[w] |= src[w];
+      // The splat put u on its own row; clear the diagonal.
+      dst[u / 64] &= ~(std::uint64_t{1} << (u % 64));
     }
   });
   finalize();
@@ -73,31 +74,19 @@ ConflictGraph::ConflictGraph(
 }
 
 void ConflictGraph::reset_rows(std::size_t n) {
-  const std::size_t words = (n + 63) / 64;
-  // Round each row up to a whole 64-byte cache line so every row starts
-  // at the pool's alignment; padding words stay zero forever.
-  const std::size_t stride =
-      (words + (util::kBitsetAlignment / 8 - 1)) &
-      ~(util::kBitsetAlignment / 8 - 1);
-  const std::size_t need = n * stride;
-  if (need > pool_.size()) {
-    pool_ = util::AlignedWords(need);  // freshly zeroed
-  } else {
-    util::simd::zero_words(pool_.data(), need);
-  }
   n_ = n;
-  stride_ = stride;
+  words_ = (n + 63) / 64;
+  pool_.assign(n * words_, 0);  // keeps the capacity of earlier builds
 }
 
 void ConflictGraph::finalize() {
   degrees_.resize(n_);
   max_degree_ = 0;
   std::size_t twice = 0;
-  const std::size_t words = (n_ + 63) / 64;
   for (std::size_t i = 0; i < n_; ++i) {
     const std::uint64_t* r = row(i);
     std::size_t d = 0;
-    for (std::size_t w = 0; w < words; ++w) {
+    for (std::size_t w = 0; w < words_; ++w) {
       d += static_cast<std::size_t>(std::popcount(r[w]));
     }
     degrees_[i] = static_cast<std::uint32_t>(d);

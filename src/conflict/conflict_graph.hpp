@@ -11,12 +11,11 @@
 // group is smaller than a handful of words. Degrees are cached at build
 // time, so degree() and max_degree() are O(1).
 //
-// Adjacency rows live in one contiguous 64-byte-aligned word pool
-// (structure-of-arrays): row u is the `stride_` words starting at
-// u * stride_, with the stride rounded up to a whole cache line so every
-// row starts aligned and the SIMD OR/scan kernels stream full lines.
-// neighbors() hands out non-owning ConstBitsetViews into the pool; they
-// are invalidated by rebuild(), like iterators on a reused container.
+// Adjacency rows live in one contiguous word pool: row u is the
+// ceil(n/64) words starting at u * ceil(n/64), and the tail bits past n in
+// each row's last word are zero. neighbors() hands out non-owning
+// ConstBitsetViews into the pool; they are invalidated by rebuild(), like
+// iterators on a reused container.
 
 #include <cstdint>
 #include <vector>
@@ -55,7 +54,7 @@ class ConflictGraph {
   /// next rebuild().
   [[nodiscard]] util::ConstBitsetView neighbors(std::size_t u) const {
     WDAG_REQUIRE(u < size(), "ConflictGraph::neighbors: out of range");
-    return {pool_.data() + u * stride_, n_};
+    return {row(u), n_};
   }
 
   /// Degree of u (cached at build time).
@@ -80,15 +79,15 @@ class ConflictGraph {
   void finalize();
 
   [[nodiscard]] std::uint64_t* row(std::size_t u) {
-    return pool_.data() + u * stride_;
+    return pool_.data() + u * words_;
   }
   [[nodiscard]] const std::uint64_t* row(std::size_t u) const {
-    return pool_.data() + u * stride_;
+    return pool_.data() + u * words_;
   }
 
-  util::AlignedWords pool_;
-  std::size_t n_ = 0;       ///< vertices; each row is n_ bits wide
-  std::size_t stride_ = 0;  ///< words per row, a multiple of 8 (cache line)
+  std::vector<std::uint64_t> pool_;  ///< n_ rows of words_ words each
+  std::size_t n_ = 0;      ///< vertices; each row is n_ bits wide
+  std::size_t words_ = 0;  ///< words per row, ceil(n_ / 64)
   std::vector<std::uint32_t> degrees_;
   std::size_t max_degree_ = 0;
   std::size_t num_edges_ = 0;

@@ -1,13 +1,27 @@
 #include "util/dynamic_bitset.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <new>
 
 #include "util/check.hpp"
-#include "util/simd.hpp"
 
 namespace wdag::util {
+
+namespace {
+
+/// First index in [from, n) whose word is not all-ones, or n when there
+/// is none: the word step of every zero-scan.
+std::size_t find_not_ones(const std::uint64_t* words, std::size_t from,
+                          std::size_t n) {
+  for (std::size_t i = from; i < n; ++i) {
+    if (words[i] != ~std::uint64_t{0}) return i;
+  }
+  return n;
+}
+
+}  // namespace
 
 // ------------------------------ view ----------------------------------
 
@@ -63,7 +77,7 @@ std::size_t ConstBitsetView::find_next(std::size_t i) const {
 
 std::size_t ConstBitsetView::find_first_zero() const {
   const std::size_t nw = num_words();
-  const std::size_t w = simd::find_not_ones(words_, 0, nw);
+  const std::size_t w = find_not_ones(words_, 0, nw);
   if (w == nw) return bits_;
   const std::size_t i =
       w * 64 + static_cast<std::size_t>(std::countr_one(words_[w]));
@@ -85,7 +99,7 @@ std::size_t ConstBitsetView::find_next_zero(std::size_t i) const {
     return std::min(j, bits_);
   }
   const std::size_t nw = num_words();
-  const std::size_t next = simd::find_not_ones(words_, w + 1, nw);
+  const std::size_t next = find_not_ones(words_, w + 1, nw);
   if (next == nw) return bits_;
   const std::size_t j =
       next * 64 + static_cast<std::size_t>(std::countr_one(words_[next]));
@@ -109,18 +123,10 @@ DynamicBitset::DynamicBitset(std::size_t bits)
 DynamicBitset::DynamicBitset(ConstBitsetView view)
     : data_(view.data(), view.data() + view.num_words()), bits_(view.size()) {}
 
-void DynamicBitset::clear_all() {
-  simd::zero_words(data_.data(), data_.size());
-}
+void DynamicBitset::clear_all() { std::fill(data_.begin(), data_.end(), 0); }
 
 void DynamicBitset::reset_to_zero(std::size_t bits) {
-  const std::size_t need = (bits + 63) / 64;
-  if (need <= data_.size()) {
-    data_.resize(need);
-    simd::zero_words(data_.data(), data_.size());
-  } else {
-    data_.assign(need, 0);
-  }
+  data_.assign((bits + 63) / 64, 0);  // keeps the capacity it already has
   bits_ = bits;
 }
 
@@ -160,7 +166,7 @@ bool DynamicBitset::intersects(ConstBitsetView other) const {
 
 DynamicBitset& DynamicBitset::operator|=(ConstBitsetView other) {
   WDAG_REQUIRE(bits_ == other.size(), "DynamicBitset: size mismatch in |=");
-  simd::or_words(data_.data(), other.data(), data_.size());
+  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] |= other.word(i);
   return *this;
 }
 
@@ -172,7 +178,7 @@ DynamicBitset& DynamicBitset::operator&=(ConstBitsetView other) {
 
 void DynamicBitset::or_into(DynamicBitset& dst) const {
   WDAG_REQUIRE(bits_ <= dst.bits_, "DynamicBitset: or_into target too small");
-  simd::or_words(dst.data_.data(), data_.data(), data_.size());
+  for (std::size_t i = 0; i < data_.size(); ++i) dst.data_[i] |= data_[i];
 }
 
 void DynamicBitset::and_not(ConstBitsetView other) {
@@ -200,6 +206,11 @@ std::vector<std::size_t> DynamicBitset::to_indices() const {
 }
 
 // -------------------------- aligned words -----------------------------
+
+// AlignedWords and kBitsetAlignment are deprecated and unused by the
+// library; only their own definitions below may name them.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 AlignedWords::AlignedWords(std::size_t words) : words_(words) {
   if (words_ == 0) return;
@@ -231,6 +242,8 @@ AlignedWords::~AlignedWords() {
   }
 }
 
-void AlignedWords::zero() { simd::zero_words(data_, words_); }
+void AlignedWords::zero() { std::fill_n(data_, words_, 0); }
+
+#pragma GCC diagnostic pop
 
 }  // namespace wdag::util

@@ -4,24 +4,23 @@
 // provided; everything is bounds-checked in the throwing API and raw in
 // the *_unchecked variants used by inner loops.
 //
-// Three types share one bit layout (LSB-first 64-bit words, tail bits
+// Two types share one bit layout (LSB-first 64-bit words, tail bits
 // beyond size() always zero):
 //   - DynamicBitset: owning, resizable-by-reset scratch bitset.
 //   - ConstBitsetView: non-owning read view, so containers that pack many
 //     rows into one allocation (ConflictGraph's word pool) can hand out
 //     rows without copying.
-//   - AlignedWords: raw 64-byte-aligned word storage for those packed
-//     containers, sized for the SIMD kernels' full-cache-line streams.
-// The word-level operations dispatch to the runtime-selected SIMD kernels
-// in util/simd.hpp (internal); every tier is byte-identical by test.
+// The word loops (OR, clear, zero-scan) are plain loops over 64-bit
+// words; GCC vectorizes the OR loops at the baseline ISA.
 
 #include <cstdint>
 #include <vector>
 
 namespace wdag::util {
 
-/// Alignment (bytes) of every AlignedWords allocation: one full cache
-/// line, so AVX-512 rows never straddle lines.
+/// Alignment (bytes) of every AlignedWords allocation. Deprecated with
+/// AlignedWords; removed in 0.4.0.
+[[deprecated("unused by wdag since 0.3.1; removed in 0.4.0")]]
 inline constexpr std::size_t kBitsetAlignment = 64;
 
 /// Non-owning read-only view of a bitset: a word pointer plus a bit
@@ -143,8 +142,6 @@ class DynamicBitset {
   DynamicBitset& operator|=(ConstBitsetView other);
 
   /// dst |= this, word-parallel, where dst may be larger than this.
-  /// The group-OR conflict-graph build uses it to splat one arc group's
-  /// membership mask into every member's adjacency row.
   void or_into(DynamicBitset& dst) const;
 
   /// this &= other (sizes must match).
@@ -182,9 +179,10 @@ class DynamicBitset {
 };
 
 /// Move-only 64-byte-aligned zero-initialized array of 64-bit words.
-/// Backing storage for packed bitset pools (one allocation, many rows)
-/// so the SIMD OR/zero kernels stream whole cache lines.
-class AlignedWords {
+/// Deprecated: ConflictGraph's row pool is a plain std::vector since
+/// 0.3.1 and nothing in wdag uses this type; removed in 0.4.0.
+class [[deprecated("use std::vector<std::uint64_t>; removed in 0.4.0")]]
+AlignedWords {
  public:
   AlignedWords() = default;
 
@@ -203,7 +201,7 @@ class AlignedWords {
   /// Capacity in 64-bit words.
   [[nodiscard]] std::size_t size() const { return words_; }
 
-  /// Sets every word to zero (dispatched kernel).
+  /// Sets every word to zero.
   void zero();
 
  private:

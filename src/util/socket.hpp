@@ -36,7 +36,9 @@ enum class ReadStatus {
 
 /// One TCP connection speaking '\n'-delimited lines (plus raw
 /// length-prefixed payloads via read_exact). Move-only; the destructor
-/// closes the socket.
+/// closes the socket. Dialed and accepted connections both have
+/// TCP_NODELAY set, so a reply written as a header line plus a payload
+/// never waits for the peer's delayed ACK.
 class TcpConn {
  public:
   /// Connects to host:port (numeric IPv4 host, e.g. "127.0.0.1") with a

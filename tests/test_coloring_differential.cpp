@@ -22,7 +22,6 @@
 #include "gen/workloads.hpp"
 #include "util/dynamic_bitset.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -169,55 +168,6 @@ TEST(ColoringDifferentialTest, DegreeAndMaxDegreeMatchRowCounts) {
     }
     EXPECT_EQ(cg.max_degree(), max_deg) << "family=" << name;
   }
-}
-
-// The ISA-dispatch matrix: rebuilding the conflict graph and recoloring
-// under every reachable SIMD tier (scalar / sse2 / avx2 / avx512, as
-// forced by WDAG_FORCE_ISA in CI or set_active_tier here) must reproduce
-// the scalar tier's adjacency rows and colorings byte for byte, on every
-// workload family. A vectorized kernel that is merely "equivalent" but
-// reorders ties or drifts a tail word fails here, not in production.
-TEST(ColoringDifferentialTest, EveryIsaTierIsByteIdenticalOnEveryFamily) {
-  namespace simd = util::simd;
-  const simd::IsaTier original = simd::active_tier();
-  const gen::WorkloadParams p = small_params();
-  for (const std::string& name : gen::workload_names()) {
-    Xoshiro256 rng(0x157A + std::hash<std::string>{}(name));
-    const gen::Instance inst = gen::workload_instance(name, p, rng);
-
-    simd::set_active_tier(simd::IsaTier::kScalar);
-    const ConflictGraph ref_cg(inst.family);
-    const std::size_t n = ref_cg.size();
-    const std::size_t words = (n + 63) / 64;
-    std::vector<std::vector<std::uint64_t>> ref_rows(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      for (std::size_t w = 0; w < words; ++w) {
-        ref_rows[v].push_back(ref_cg.neighbors(v).word(w));
-      }
-    }
-    const Coloring ref_greedy = conflict::greedy_coloring(ref_cg);
-    const Coloring ref_dsatur = conflict::dsatur_coloring(ref_cg);
-
-    for (const simd::IsaTier tier : simd::reachable_tiers()) {
-      simd::set_active_tier(tier);
-      const ConflictGraph cg(inst.family);
-      ASSERT_EQ(cg.size(), n) << "family=" << name;
-      for (std::size_t v = 0; v < n; ++v) {
-        std::vector<std::uint64_t> row_words;
-        for (std::size_t w = 0; w < words; ++w) {
-          row_words.push_back(cg.neighbors(v).word(w));
-        }
-        ASSERT_EQ(row_words, ref_rows[v])
-            << "family=" << name << " tier=" << simd::tier_name(tier)
-            << " row=" << v;
-      }
-      EXPECT_EQ(conflict::greedy_coloring(cg), ref_greedy)
-          << "family=" << name << " tier=" << simd::tier_name(tier);
-      EXPECT_EQ(conflict::dsatur_coloring(cg), ref_dsatur)
-          << "family=" << name << " tier=" << simd::tier_name(tier);
-    }
-  }
-  simd::set_active_tier(original);
 }
 
 TEST(ColoringDifferentialTest, NormalizeAndCountMatchReference) {

@@ -1,15 +1,36 @@
-// Unit tests for DynamicBitset.
+// Unit tests for DynamicBitset and ConstBitsetView. The word loops (OR,
+// clear, zero-scan) are checked at the word-boundary sizes in kBitSizes
+// against naive per-bit or per-word references.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/dynamic_bitset.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
+using wdag::util::ConstBitsetView;
 using wdag::util::DynamicBitset;
+using wdag::util::Xoshiro256;
+
+// Bit sizes that straddle 64-, 256- and 512-bit boundaries.
+const std::vector<std::size_t> kBitSizes = {0,   1,   63,  64,  65, 255,
+                                            256, 257, 511, 512, 513};
+
+/// A `bits`-bit mask with each bit set with probability 1/`one_in`.
+DynamicBitset random_mask(Xoshiro256& rng, std::size_t bits,
+                          std::uint64_t one_in = 2) {
+  DynamicBitset b(bits);
+  for (std::size_t i = 0; i < bits; ++i) {
+    if (rng.below(one_in) == 0) b.set_unchecked(i);
+  }
+  return b;
+}
 
 TEST(DynamicBitsetTest, StartsClear) {
   DynamicBitset b(130);
@@ -48,6 +69,20 @@ TEST(DynamicBitsetTest, SetAllRespectsTail) {
   EXPECT_EQ(b.count(), 70u);
   b.clear_all();
   EXPECT_TRUE(b.none());
+
+  for (const std::size_t bits : kBitSizes) {
+    DynamicBitset c(bits);
+    c.set_all();
+    EXPECT_EQ(c.count(), bits) << "bits=" << bits;
+    if (bits % 64 != 0) {
+      EXPECT_EQ(c.word(c.num_words() - 1) >> (bits % 64), 0u)
+          << "bits=" << bits << ": tail bits must stay zero";
+    }
+    c.clear_all();
+    for (std::size_t w = 0; w < c.num_words(); ++w) {
+      EXPECT_EQ(c.word(w), 0u) << "bits=" << bits << " w=" << w;
+    }
+  }
 }
 
 TEST(DynamicBitsetTest, FindFirstAndNext) {
@@ -100,6 +135,23 @@ TEST(DynamicBitsetTest, OrAndAndNot) {
   e.and_not(b);
   EXPECT_EQ(e.count(), 1u);
   EXPECT_TRUE(e.test(1));
+
+  // |= and or_into equal a naive word OR at every boundary size.
+  Xoshiro256 rng(0x0B5E7);
+  for (const std::size_t bits : kBitSizes) {
+    const DynamicBitset x = random_mask(rng, bits);
+    const DynamicBitset y = random_mask(rng, bits);
+    DynamicBitset ored = x;
+    ored |= y;
+    DynamicBitset into = x;
+    y.or_into(into);
+    for (std::size_t w = 0; w < x.num_words(); ++w) {
+      EXPECT_EQ(ored.word(w), x.word(w) | y.word(w))
+          << "bits=" << bits << " w=" << w;
+      EXPECT_EQ(into.word(w), x.word(w) | y.word(w))
+          << "bits=" << bits << " w=" << w << " (or_into)";
+    }
+  }
 }
 
 TEST(DynamicBitsetTest, SizeMismatchThrows) {
@@ -167,21 +219,75 @@ TEST(DynamicBitsetTest, FindNextZeroAtWordEdges) {
   EXPECT_EQ(b.find_next_zero(62), 63u);
   EXPECT_EQ(b.find_next_zero(63), 128u);
   EXPECT_EQ(b.find_next_zero(128), 129u);
+
+  // A single hole in the tail word: found from the front and from just
+  // before it, and nothing after it.
+  for (const std::size_t bits : kBitSizes) {
+    if (bits < 2) continue;
+    DynamicBitset hole(bits);
+    hole.set_all();
+    hole.reset(bits - 1);
+    EXPECT_EQ(hole.find_first_zero(), bits - 1) << "bits=" << bits;
+    EXPECT_EQ(hole.find_next_zero(bits - 2), bits - 1) << "bits=" << bits;
+    EXPECT_EQ(hole.find_next_zero(bits - 1), bits) << "bits=" << bits;
+  }
 }
 
 TEST(DynamicBitsetTest, ZeroScanMatchesLinearScan) {
+  const auto zeros_by_scan = [](const DynamicBitset& b) {
+    std::vector<std::size_t> out;
+    for (std::size_t i = b.find_first_zero(); i < b.size();
+         i = b.find_next_zero(i)) {
+      out.push_back(i);
+    }
+    return out;
+  };
+  const auto zeros_by_test = [](const DynamicBitset& b) {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      if (!b.test(i)) out.push_back(i);
+    }
+    return out;
+  };
+  // find_next_zero from every start bit, against a backward linear pass.
+  const auto expect_next_zero_from_every_start = [](const DynamicBitset& b) {
+    std::size_t next = b.size();  // the first zero strictly after i
+    for (std::size_t i = b.size(); i-- > 0;) {
+      EXPECT_EQ(b.find_next_zero(i), next) << "bits=" << b.size()
+                                           << " i=" << i;
+      if (!b.test(i)) next = i;
+    }
+  };
+
   DynamicBitset b(193);
   for (std::size_t i = 0; i < 193; i += 3) b.set(i);
-  std::vector<std::size_t> linear;
-  for (std::size_t i = 0; i < 193; ++i) {
-    if (!b.test(i)) linear.push_back(i);
+  EXPECT_EQ(zeros_by_scan(b), zeros_by_test(b));
+
+  Xoshiro256 rng(0xB17);
+  for (const std::size_t bits : kBitSizes) {
+    // All-zero, all-ones, then all-ones with a hole in the tail word and
+    // with one or two random holes (the scan must skip whole all-ones
+    // words from any start), then random masks.
+    std::vector<DynamicBitset> masks(1, DynamicBitset(bits));
+    DynamicBitset ones(bits);
+    ones.set_all();
+    masks.push_back(ones);
+    if (bits > 0) {
+      DynamicBitset tail_hole = ones;
+      tail_hole.reset(bits - 1);
+      masks.push_back(tail_hole);
+      for (int holes = 1; holes <= 2; ++holes) {
+        DynamicBitset holed = ones;
+        for (int h = 0; h < holes; ++h) holed.reset(rng.below(bits));
+        masks.push_back(holed);
+      }
+    }
+    for (int i = 0; i < 8; ++i) masks.push_back(random_mask(rng, bits));
+    for (const DynamicBitset& mask : masks) {
+      EXPECT_EQ(zeros_by_scan(mask), zeros_by_test(mask)) << "bits=" << bits;
+      expect_next_zero_from_every_start(mask);
+    }
   }
-  std::vector<std::size_t> scanned;
-  for (std::size_t i = b.find_first_zero(); i < b.size();
-       i = b.find_next_zero(i)) {
-    scanned.push_back(i);
-  }
-  EXPECT_EQ(scanned, linear);
 }
 
 TEST(DynamicBitsetTest, OrIntoLargerTarget) {
@@ -218,8 +324,9 @@ TEST(DynamicBitsetTest, ResetToZeroReusesStorage) {
 // on an empty mask returned 0, not size().
 TEST(DynamicBitsetTest, FindNextPastEndNeverWrapsAround) {
   constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{64},
-                              std::size_t{130}}) {
+  std::vector<std::size_t> sizes = kBitSizes;
+  sizes.push_back(130);
+  for (const std::size_t n : sizes) {
     DynamicBitset zeros(n);
     DynamicBitset ones(n);
     ones.set_all();
@@ -237,8 +344,7 @@ TEST(DynamicBitsetTest, FindNextPastEndNeverWrapsAround) {
 // Regression: when no zero exists, both zero-scans report size() and
 // never surface the zero tail bits past size() in the last word.
 TEST(DynamicBitsetTest, NoZeroMeansSizeNotTailBits) {
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{63}, std::size_t{65}, std::size_t{257}}) {
+  for (const std::size_t n : kBitSizes) {
     DynamicBitset b(n);
     b.set_all();  // tail bits beyond n stay zero in the backing word
     EXPECT_EQ(b.find_first_zero(), n) << "n=" << n;
@@ -258,5 +364,45 @@ TEST(DynamicBitsetTest, WordAccessors) {
   EXPECT_EQ(b.word(1), std::uint64_t{1});
   EXPECT_EQ(b.word(2), std::uint64_t{1} << 1);
 }
+
+TEST(DynamicBitsetTest, ViewRoundTripsThroughOwningBitset) {
+  Xoshiro256 rng(0x71E4);
+  for (const std::size_t bits : kBitSizes) {
+    const DynamicBitset b = random_mask(rng, bits, 3);
+    const ConstBitsetView view = b;
+    EXPECT_EQ(view.size(), bits);
+    EXPECT_EQ(view.count(), b.count());
+    EXPECT_EQ(view.find_first(), b.find_first());
+    EXPECT_EQ(view.to_indices(), b.to_indices());
+    EXPECT_EQ(DynamicBitset(view), b) << "bits=" << bits;
+  }
+}
+
+// AlignedWords and kBitsetAlignment are deprecated and removed in 0.4.0;
+// until then their behaviour stays pinned here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+TEST(DynamicBitsetTest, AlignedWordsIsCacheLineAlignedAndZeroed) {
+  using wdag::util::AlignedWords;
+  for (const std::size_t words : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{8}, std::size_t{129}}) {
+    AlignedWords buf(words);
+    ASSERT_EQ(buf.size(), words);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) %
+                  wdag::util::kBitsetAlignment,
+              0u);
+    for (std::size_t i = 0; i < words; ++i) EXPECT_EQ(buf.data()[i], 0u);
+    buf.data()[0] = ~std::uint64_t{0};
+    buf.zero();
+    EXPECT_EQ(buf.data()[0], 0u);
+    AlignedWords moved(std::move(buf));
+    EXPECT_EQ(moved.size(), words);
+    EXPECT_EQ(buf.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  }
+  const AlignedWords empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.data(), nullptr);
+}
+#pragma GCC diagnostic pop
 
 }  // namespace

@@ -1,8 +1,9 @@
 // util/socket.cpp error paths — the failure modes remote dispatch leans
 // on: a bounded dial against a peer that never answers, fast failure on
 // a refused port, header+payload sharing one TCP segment, a peer that
-// vanishes mid-payload, and EINTR storms that must neither shorten nor
-// un-bound a poll deadline.
+// vanishes mid-payload, EINTR storms that must neither shorten nor
+// un-bound a poll deadline, and header+payload replies that must not
+// wait for a delayed ACK.
 //
 // POSIX-only machinery (raw listen() backlogs, pthread_kill); the whole
 // suite is compiled on the same platforms as the socket implementation.
@@ -161,6 +162,49 @@ TEST(SocketTest, WriteToAVanishedPeerReturnsFalse) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_FALSE(ok);
+}
+
+// Regression: the shard worker replies with a header line and a payload
+// in two writes. With Nagle's algorithm on, the payload waits for the
+// ACK of the header, which the reading peer delays by ~40 ms on Linux:
+// 50 lockstep rounds took about 2 s. TcpConn sets TCP_NODELAY on both
+// ends, so a round costs a loopback round trip.
+TEST(SocketTest, HeaderThenPayloadRepliesDoNotWaitForADelayedAck) {
+  TcpListener listener = TcpListener::listen("127.0.0.1", 0);
+  TcpConn client = TcpConn::connect("127.0.0.1", listener.port(), 1000);
+  auto server = listener.accept(1000);
+  ASSERT_TRUE(server.has_value());
+
+  constexpr int kRounds = 50;
+  const std::string payload(512, 'p');
+  std::thread replier([&] {
+    std::string request;
+    for (int i = 0; i < kRounds; ++i) {
+      if (server->read_line(request, 5000) != ReadStatus::kLine ||
+          !server->write_line("ok " + std::to_string(payload.size())) ||
+          !server->write_all(payload)) {
+        return;
+      }
+    }
+  });
+
+  int rounds = 0;
+  const auto start = Clock::now();
+  for (; rounds < kRounds; ++rounds) {
+    std::string header;
+    std::string got;
+    if (!client.write_line("next") ||
+        client.read_line(header, 5000) != ReadStatus::kLine ||
+        client.read_exact(got, payload.size(), 5000) != ReadStatus::kLine ||
+        got != payload) {
+      break;
+    }
+  }
+  const double elapsed = ms_since(start);
+  replier.join();
+
+  EXPECT_EQ(rounds, kRounds);
+  EXPECT_LT(elapsed, 1000.0);
 }
 
 TEST(SocketTest, EintrDuringPollNeitherShortensNorUnboundsTheDeadline) {
