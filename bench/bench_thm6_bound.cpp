@@ -4,7 +4,8 @@
 // Two series are reported:
 //   * the exact chromatic number against the bound (the theorem statement),
 //   * the split-merge algorithm's color count against the same bound (the
-//     constructive side; see DESIGN.md on the replicated-copy subtlety).
+//     constructive side; see docs/ARCHITECTURE.md on the replicated-copy
+//     subtlety).
 
 #include "bench_util.hpp"
 #include "conflict/conflict_graph.hpp"

@@ -3,7 +3,7 @@
 //
 // Every bench binary does two things:
 //   1. regenerates its paper table/figure as a results table on stdout
-//      (the "shape" evidence recorded in EXPERIMENTS.md), then
+//      (the "shape" evidence; see docs/ARCHITECTURE.md), then
 //   2. runs google-benchmark timings for the algorithms involved.
 //
 // WDAG_BENCH_MAIN(print_fn) emits the table(s) first so that plain

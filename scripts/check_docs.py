@@ -16,6 +16,10 @@ Checks, over the markdown files passed on the command line:
 3. Required links (--require-link PATH, repeatable): at least one of the
    given files must link to PATH — how CI pins "ARCHITECTURE.md and
    WORKLOADS.md exist and are linked from the README".
+4. Citations from code (always run): every markdown file name cited in a
+   git-tracked file under CITING_DIRS must name a tracked markdown file,
+   either by its repo-relative path or by a bare name found at the repo
+   root or under docs/. Run from the repo root.
 
 Exit status 0 = docs in sync, 1 = drift (every finding is printed).
 
@@ -35,6 +39,10 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 DOC_FLAG_ROW_RE = re.compile(r"^\|\s*`(--[a-z][a-z0-9-]*)`")
 HELP_FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
+# A markdown file name cited in code; the look-behind keeps URL tails out.
+CITATION_RE = re.compile(r"(?<![\w./:-])([\w./-]+\.md)\b")
+# Directories whose tracked files are checked for markdown citations.
+CITING_DIRS = ["src", "bench", "tests", "scripts", "examples"]
 CLI_COMMANDS = ["solve", "batch", "sweep", "shard", "drive", "worker",
                 "serve", "request"]
 
@@ -136,6 +144,34 @@ def check_flags(binary, files):
     return problems
 
 
+def git_files(pathspecs):
+    out = subprocess.run(["git", "ls-files", "-z", "--", *pathspecs],
+                         capture_output=True, text=True, check=True)
+    return [p for p in out.stdout.split("\0") if p]
+
+
+def check_citations():
+    problems = []
+    markdown = set(git_files(["*.md"]))
+    for path in git_files(CITING_DIRS):
+        try:
+            with open(path, encoding="utf-8") as f:
+                lines = f.readlines()
+        except (OSError, UnicodeDecodeError):
+            continue  # binary or unreadable: nothing to cite
+        for lineno, line in enumerate(lines, 1):
+            for name in CITATION_RE.findall(line):
+                if "/" in name:
+                    targets = {os.path.normpath(name)}
+                else:
+                    targets = {name, "docs/" + name}
+                if not targets & markdown:
+                    problems.append(
+                        f"{path}:{lineno}: cites '{name}', which is not a "
+                        f"tracked markdown file")
+    return problems
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("files", nargs="+", help="markdown files to check")
@@ -150,6 +186,7 @@ def main():
             return 1
 
     problems = check_links(args.files, args.require_link)
+    problems += check_citations()
     if args.binary:
         problems += check_flags(args.binary, args.files)
     else:
@@ -161,8 +198,8 @@ def main():
         print(f"docs-check: {len(problems)} problem(s)")
         return 1
     print(f"docs-check: OK ({len(args.files)} files"
-          + (", links + flag tables in sync)" if args.binary
-             else ", links in sync)"))
+          + (", links, citations + flag tables in sync)" if args.binary
+             else ", links + citations in sync)"))
     return 0
 
 

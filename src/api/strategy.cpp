@@ -79,6 +79,26 @@ class DsaturStrategy final : public SolverStrategy {
   }
 };
 
+/// The exact chromatic number of `family` between the bounds the pipeline
+/// already holds: the load `pi` below, which on UPP hosts is the clique
+/// number itself (Property 3), and `upper` above when it is a valid
+/// coloring (a fresh DSATUR coloring otherwise). Serves both the forced
+/// exact strategy and certification.
+conflict::ChromaticResult exact_coloring(const paths::DipathFamily& family,
+                                         const StrategyContext& ctx,
+                                         std::size_t pi,
+                                         const conflict::Coloring* upper) {
+  const conflict::ConflictGraph& cg = conflict_graph_for(family, ctx.scratch);
+  conflict::ChromaticBounds bounds{pi, ctx.report.is_upp, {}};
+  if (upper != nullptr && conflict::is_valid_coloring(cg, *upper)) {
+    bounds.upper = *upper;
+  } else {
+    bounds.upper = conflict::dsatur_coloring(cg);
+  }
+  return conflict::chromatic_number(cg, std::move(bounds),
+                                    ctx.options.exact_node_budget);
+}
+
 /// Exact branch-and-bound chromatic number; never dispatched (force /
 /// certification only).
 class ExactStrategy final : public SolverStrategy {
@@ -90,11 +110,12 @@ class ExactStrategy final : public SolverStrategy {
   [[nodiscard]] bool self_validating() const override { return true; }
   [[nodiscard]] StrategyResult solve(const paths::DipathFamily& family,
                                      const StrategyContext& ctx) const override {
-    const conflict::ConflictGraph& cg = conflict_graph_for(family, ctx.scratch);
-    auto r = conflict::chromatic_number(cg, ctx.options.exact_node_budget);
+    const std::size_t pi = paths::max_load(family);
+    auto r = exact_coloring(family, ctx, pi, nullptr);
     StrategyResult out;
     out.coloring = std::move(r.coloring);
     out.wavelengths = r.chromatic_number;
+    out.load = pi;
     out.optimal = r.proven;
     return out;
   }
@@ -201,15 +222,21 @@ SolveResponse solve_with(const StrategyRegistry& registry,
 
   bool validated = strategy.self_validating();
 
-  // Optional exact certification / improvement for small instances.
+  // Optional exact certification / improvement for small instances, between
+  // pi and the strategy's own coloring. A built-in's reported load is pi; a
+  // registered strategy's is unchecked, so pi is recomputed for it.
   if (!resp.optimal && options.exact_threshold > 0 &&
       family.size() <= options.exact_threshold &&
       chosen != core::kStrategyExact) {
     const SolverStrategy& exact = registry.at(core::kStrategyExact);
-    StrategyResult e = exact.solve(family, ctx);
-    if (e.optimal && e.wavelengths <= resp.wavelengths) {
+    const std::size_t pi = chosen < core::kBuiltinStrategyCount
+                               ? resp.load
+                               : paths::max_load(family);
+    conflict::ChromaticResult e =
+        exact_coloring(family, ctx, pi, &resp.coloring);
+    if (e.proven && e.chromatic_number <= resp.wavelengths) {
       resp.coloring = std::move(e.coloring);
-      resp.wavelengths = e.wavelengths;
+      resp.wavelengths = e.chromatic_number;
       resp.strategy = core::kStrategyExact;
       resp.strategy_name = exact.name();
       resp.optimal = true;

@@ -1,11 +1,34 @@
 #pragma once
 // Exact chromatic number of a conflict graph.
 //
-// w(G,P) is NP-hard in general (paper §1), so "w equals ..." claims in the
-// benches are certified by this exact branch-and-bound solver on instance
-// sizes where it is fast. The search is DSATUR-ordered backtracking with a
-// clique seed (its vertices are pre-colored, fixing color symmetry) and the
-// usual "at most one new color per step" symmetry break.
+// w(G,P) is NP-hard in general (paper §1), so "w equals ..." claims are
+// certified by this exact solver on instance sizes where it is fast. For
+// each k from the lower bound up to the upper bound minus one, it runs a
+// backtracking k-coloring search; the first k that succeeds is chi.
+//
+// The search:
+//  * picks vertices in DSATUR order (most distinct neighbor colors, then
+//    highest degree, then lowest index) and lets a vertex open at most one
+//    new color, which breaks the symmetry between unused colors;
+//  * keeps a counter per (vertex, color) of the neighbors holding that
+//    color, plus a per-vertex count of distinct neighbor colors, so
+//    assigning or undoing a color walks only that vertex's adjacency row;
+//  * applies a twin rule. Vertices with equal closed neighborhoods
+//    (identical dipaths among them) are interchangeable, so within such a
+//    class colors must increase with vertex index. The rule stays sound
+//    next to the one-new-color rule only because every class is colored
+//    in index order: from its DSATUR choice the search walks down to the
+//    lowest uncolored member of that vertex's class.
+//
+// Bounds contract. The two-argument chromatic_number computes its own
+// bounds: DSATUR above, the maximum clique below. The bounded overload
+// takes the caller's: a proven lower bound (the load pi, since the
+// dipaths through a max-load arc pairwise conflict), whether that bound
+// already is the clique number (pi is, on UPP hosts, by Property 3), and
+// a valid coloring whose color count is the upper bound. It runs
+// max_clique only when the lower bound is not known to be the clique
+// number and lies below the upper bound, and searches nothing when the
+// bounds meet.
 
 #include <cstddef>
 #include <optional>
@@ -23,11 +46,31 @@ struct ChromaticResult {
   bool proven = true;       ///< false when the node budget was exhausted
 };
 
+/// Bounds on chi that the caller already holds.
+struct ChromaticBounds {
+  /// A proven lower bound on chi, e.g. the load pi.
+  std::size_t lower = 0;
+  /// True when `lower` is the clique number itself (pi on UPP hosts), so
+  /// max_clique cannot raise it.
+  bool lower_is_clique = false;
+  /// A valid coloring; its color count is the upper bound.
+  Coloring upper;
+};
+
 /// Computes the chromatic number exactly.
-/// `node_budget` bounds the search; when exhausted, `proven` is false and
-/// the best coloring found so far is returned (still valid).
+/// `node_budget` bounds the search for each k; when it is exhausted,
+/// `proven` is false and the best coloring found so far is returned
+/// (still valid).
 ChromaticResult chromatic_number(const ConflictGraph& cg,
                                  std::size_t node_budget = 50'000'000);
+
+/// The same search between the caller's bounds. When no k below the
+/// upper bound succeeds, the result's coloring is `bounds.upper`.
+/// Throws wdag::InvalidArgument when `bounds.upper` is not a valid coloring
+/// of cg or uses fewer colors than `bounds.lower`.
+ChromaticResult chromatic_number(const ConflictGraph& cg,
+                                 ChromaticBounds bounds,
+                                 std::size_t node_budget);
 
 /// Decision variant: can cg be colored with at most k colors?
 /// Returns a coloring when satisfiable, nullopt otherwise (within budget;

@@ -304,8 +304,8 @@ std::vector<std::uint32_t> solve_rec(const Digraph& g,
   // tail. Recolor such dipaths, searching the whole palette first: the
   // paper sends the (claimed unique, by its Fact 2) conflicting dipath to
   // the cycle's fresh color, but that uniqueness degenerates when tails
-  // share the arc (t,b) (see DESIGN.md), so we first-fit and only then pay
-  // for a fresh color.
+  // share the arc (t,b) (see docs/ARCHITECTURE.md), so we first-fit and
+  // only then pay for a fresh color.
   std::vector<bool> merged(padded.size(), false);
   for (const SplitPair& pr : pairs) merged[pr.orig] = true;
 

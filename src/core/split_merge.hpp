@@ -25,11 +25,12 @@
 //     its tail arcs, which can collide with a dipath that validly used that
 //     color on the tail side. The paper recolors those (unique, by its
 //     Facts 1-2) onto the fresh color. With replicated copies of identical
-//     dipaths the uniqueness argument degrades (see DESIGN.md §4), so the
-//     fix-up below is defensive: it first-fits conflicting dipaths into the
-//     extra-color pool, growing the pool only when forced, and validates
-//     the final assignment. Each fix strictly removes conflicts, so the
-//     pass terminates.
+//     dipaths the uniqueness argument degrades (see docs/ARCHITECTURE.md,
+//     "Split-merge with replicated dipaths"), so the fix-up below is
+//     defensive: it first-fits conflicting dipaths into the extra-color
+//     pool, growing the pool only when forced, and validates the final
+//     assignment. Each fix strictly removes conflicts, so the pass
+//     terminates.
 //
 // With C internal cycles the recursion yields w <= ceil((4/3)^C * pi)
 // (the paper's concluding remark in §4).

@@ -4,7 +4,8 @@
 //
 // We ship our own xoshiro256** + splitmix64 instead of <random> engines so
 // that instance streams are bit-reproducible across standard libraries —
-// benchmark tables in EXPERIMENTS.md must be regenerable on any platform.
+// the paper tables the benches print must be regenerable on any platform
+// (docs/ARCHITECTURE.md, "Paper tables from the benches").
 
 #include <array>
 #include <cstdint>

@@ -1,7 +1,7 @@
 #pragma once
 // Tabular output for the benchmark harness: the benches print
 // paper-shaped rows both as aligned text (for the console) and CSV
-// (for EXPERIMENTS.md regeneration).
+// (for regenerating the paper tables; see docs/ARCHITECTURE.md).
 
 #include <iosfwd>
 #include <string>

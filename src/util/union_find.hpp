@@ -3,7 +3,8 @@
 //
 // Used by the internal-cycle detector: restricting the underlying
 // multigraph of a DAG to its internal vertices, a repeated union is exactly
-// the witness that an internal cycle exists (DESIGN.md §4).
+// the witness that an internal cycle exists (docs/ARCHITECTURE.md,
+// "Internal cycles by union-find").
 
 #include <cstdint>
 #include <vector>

@@ -102,6 +102,30 @@ class BrokenStrategy final : public SolverStrategy {
   }
 };
 
+/// A valid rainbow coloring with a claimed load that nothing checks.
+class ClaimedLoadStrategy final : public SolverStrategy {
+ public:
+  explicit ClaimedLoadStrategy(std::size_t load) : load_(load) {}
+  [[nodiscard]] std::string name() const override { return "claimed-load"; }
+  [[nodiscard]] bool applicable(const dag::DagReport& r) const override {
+    return r.is_dag;
+  }
+  [[nodiscard]] StrategyResult solve(const paths::DipathFamily& family,
+                                     const StrategyContext&) const override {
+    StrategyResult out;
+    out.coloring.resize(family.size());
+    for (std::size_t i = 0; i < family.size(); ++i) {
+      out.coloring[i] = static_cast<std::uint32_t>(i);
+    }
+    out.wavelengths = family.size();
+    out.load = load_;
+    return out;
+  }
+
+ private:
+  std::size_t load_;
+};
+
 /// An engine whose exact certification is disabled, so sub-optimal custom
 /// results are returned as-is instead of being upgraded to "exact".
 Engine uncertified_engine(std::size_t threads = 1) {
@@ -306,6 +330,35 @@ TEST(EngineStrategyTest, InvalidCustomColoringsAreCaughtByValidation) {
   const ChainInstance inst;  // the two paths share arc 1 -> 2
   EXPECT_THROW((void)engine.submit(SolveRequest::of(inst.family)),
                wdag::InternalError);
+}
+
+TEST(EngineStrategyTest, CertificationDoesNotTrustAnInvalidColoring) {
+  // With certification on, the strategy's coloring would be the exact
+  // search's upper bound; an invalid one must still end in validation's
+  // InternalError, not in the search rejecting its bounds.
+  Engine engine(EngineOptions{});
+  engine.register_strategy(std::make_unique<BrokenStrategy>());
+  const ChainInstance inst;
+  EXPECT_THROW((void)engine.submit(SolveRequest::of(inst.family)),
+               wdag::InternalError);
+}
+
+TEST(EngineStrategyTest, CertificationDoesNotTrustAReportedLoad) {
+  // Four arc-disjoint dipaths: pi = chi = 1, and the rainbow coloring uses
+  // 4 colors. A claimed load above chi, whether below or above those 4,
+  // must not become the exact search's lower bound.
+  const graph::Digraph g = test::chain(5);
+  paths::DipathFamily family(g);
+  for (graph::VertexId v = 0; v + 1 < 5; ++v) family.add_through({v, v + 1});
+  for (const std::size_t claimed : {3u, 6u}) {
+    Engine engine(EngineOptions{});
+    engine.register_strategy(std::make_unique<ClaimedLoadStrategy>(claimed));
+    const SolveResponse r = engine.submit(SolveRequest::of(family));
+    EXPECT_EQ(r.strategy, core::kStrategyExact) << "claimed " << claimed;
+    EXPECT_EQ(r.wavelengths, 1u) << "claimed " << claimed;
+    EXPECT_TRUE(r.optimal) << "claimed " << claimed;
+    EXPECT_TRUE(conflict::is_valid_assignment(family, r.coloring));
+  }
 }
 
 TEST(EngineStrategyTest, MisreportedWavelengthCountsAreCaughtByValidation) {

@@ -3,11 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <fstream>
+#include <numeric>
+#include <sstream>
+#include <string>
+
+#include "api/strategy.hpp"
 #include "conflict/clique.hpp"
 #include "conflict/exact_color.hpp"
 #include "gen/paper_instances.hpp"
 #include "gen/family_gen.hpp"
 #include "gen/random_dag.hpp"
+#include "gen/workloads.hpp"
+#include "paths/familyio.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -117,5 +128,229 @@ TEST(ExactColorTest, NeverBelowCliqueNeverAboveDsatur) {
     EXPECT_LE(res.chromatic_number, num_colors(dsatur_coloring(cg)));
   }
 }
+
+// ---------------------------------------------------------------------------
+// Differential oracle for the twin rule: the search restricts twins
+// (equal closed neighborhoods) to increasing colors in index order, which
+// is sound only while each twin class is colored in index order. Graphs
+// built from twin classes, with a few pairs flipped so that near-twins
+// appear too, are checked against an exhaustive chromatic number.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kBudget = 1'000'000;
+
+/// Chromatic number by dynamic programming over vertex subsets (the
+/// fewest independent sets covering the graph); shares nothing with the
+/// search. O(3^n), for n <= 12.
+std::size_t brute_force_chi(const ConflictGraph& cg) {
+  const std::size_t n = cg.size();
+  const std::uint32_t full = (std::uint32_t{1} << n) - 1;
+  std::vector<std::uint32_t> nbr(n, 0);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (cg.adjacent(u, v)) nbr[u] |= std::uint32_t{1} << v;
+    }
+  }
+  std::vector<bool> independent(std::size_t{full} + 1, false);
+  std::vector<std::size_t> chi(std::size_t{full} + 1, 0);
+  independent[0] = true;
+  for (std::uint32_t set = 1; set <= full; ++set) {
+    const std::size_t low = static_cast<std::size_t>(std::countr_zero(set));
+    const std::uint32_t rest = set & (set - 1);
+    independent[set] = independent[rest] && (nbr[low] & rest) == 0;
+    // Some color class holds the lowest vertex of the set.
+    std::size_t best = n;
+    for (std::uint32_t part = set; part != 0; part = (part - 1) & set) {
+      if ((part & (std::uint32_t{1} << low)) != 0 && independent[part]) {
+        best = std::min(best, 1 + chi[set ^ part]);
+      }
+    }
+    chi[set] = best;
+  }
+  return chi[full];
+}
+
+/// At most 12 vertices: up to 7 base vertices with 1-3 true-twin copies
+/// each (copies of one base are adjacent, and copies of two bases are
+/// adjacent iff the bases are), ids shuffled, then each pair flipped with
+/// probability 1/20.
+ConflictGraph random_twin_graph(wdag::util::Xoshiro256& rng) {
+  const std::size_t bases = 1 + rng.below(7);
+  const double density = rng.uniform();
+  std::vector<std::vector<bool>> base_adj(bases, std::vector<bool>(bases));
+  for (std::size_t a = 0; a < bases; ++a) {
+    for (std::size_t b = a + 1; b < bases; ++b) {
+      base_adj[a][b] = base_adj[b][a] = rng.chance(density);
+    }
+  }
+  std::vector<std::size_t> base_of;
+  for (std::size_t b = 0; b < bases; ++b) {
+    const std::size_t copies = 1 + rng.below(3);
+    for (std::size_t c = 0; c < copies && base_of.size() < 12; ++c) {
+      base_of.push_back(b);
+    }
+  }
+  const std::size_t n = base_of.size();
+  std::vector<std::size_t> id(n);
+  std::iota(id.begin(), id.end(), std::size_t{0});
+  rng.shuffle(id);
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  for (std::size_t x = 0; x < n; ++x) {
+    for (std::size_t y = x + 1; y < n; ++y) {
+      const std::size_t a = base_of[x];
+      const std::size_t b = base_of[y];
+      bool edge = a == b || base_adj[a][b];
+      if (rng.below(20) == 0) edge = !edge;
+      if (edge) edges.emplace_back(id[x], id[y]);
+    }
+  }
+  return ConflictGraph(n, edges);
+}
+
+void expect_optimal(const ConflictGraph& cg, const ChromaticResult& r,
+                    std::size_t chi, const char* what) {
+  EXPECT_TRUE(r.proven) << what;
+  EXPECT_EQ(r.chromatic_number, chi) << what;
+  EXPECT_TRUE(is_valid_coloring(cg, r.coloring)) << what;
+  EXPECT_EQ(num_colors(r.coloring), r.chromatic_number) << what;
+}
+
+TEST(ExactColorDifferential, TwinGraphsMatchExhaustiveChromaticNumber) {
+  wdag::util::Xoshiro256 rng(2024);
+  std::size_t with_twins = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const ConflictGraph cg = random_twin_graph(rng);
+    const std::size_t n = cg.size();
+    const std::size_t chi = brute_force_chi(cg);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", n = " +
+                 std::to_string(n) + ", chi = " + std::to_string(chi));
+
+    expect_optimal(cg, chromatic_number(cg, kBudget), chi, "two-argument");
+    Coloring rainbow(n);
+    std::iota(rainbow.begin(), rainbow.end(), std::uint32_t{0});
+    expect_optimal(cg, chromatic_number(cg, {0, false, rainbow}, kBudget), chi,
+                   "bounded, no lower bound, rainbow upper bound");
+    expect_optimal(cg,
+                   chromatic_number(cg, {clique_number(cg), true,
+                                         greedy_coloring(cg)},
+                                    kBudget),
+                   chi, "bounded, clique number, greedy upper bound");
+    for (std::size_t k = 0; k <= n; ++k) {
+      const auto col = try_color_with(cg, k, kBudget);
+      ASSERT_EQ(col.has_value(), k >= chi) << "try_color_with k = " << k;
+      if (col.has_value()) {
+        EXPECT_TRUE(is_valid_coloring(cg, *col)) << "k = " << k;
+        EXPECT_LE(num_colors(*col), k) << "k = " << k;
+      }
+    }
+    for (std::size_t u = 0; u < n; ++u) {
+      for (std::size_t v = u + 1; v < n; ++v) {
+        if (!cg.adjacent(u, v)) continue;
+        auto ru = cg.neighbors(u).to_indices();
+        auto rv = cg.neighbors(v).to_indices();
+        std::erase(ru, v);
+        std::erase(rv, u);
+        if (ru == rv) ++with_twins;
+      }
+    }
+  }
+  EXPECT_GT(with_twins, 1000u);  // the generator does produce twins
+}
+
+TEST(ExactColorTest, BoundedFormRejectsBoundsThatCannotHold) {
+  const auto cg = cycle(5);
+  // A monochromatic edge is no upper bound.
+  EXPECT_THROW((void)chromatic_number(cg, {0, false, Coloring(5, 0)}, kBudget),
+               wdag::InvalidArgument);
+  // A lower bound of 4 above a valid 3-coloring.
+  EXPECT_THROW((void)chromatic_number(cg, {4, false, Coloring{0, 1, 0, 1, 2}},
+                                      kBudget),
+               wdag::InvalidArgument);
+  // Bounds that meet need no search.
+  const auto met = chromatic_number(cg, {3, false, Coloring{0, 1, 0, 1, 2}},
+                                    kBudget);
+  EXPECT_EQ(met.chromatic_number, 3u);
+  EXPECT_EQ(met.nodes, 0u);
+  EXPECT_EQ(met.coloring, (Coloring{0, 1, 0, 1, 2}));
+}
+
+TEST(ExactColorDifferential, BoundedFormAgreesOnEveryWorkloadFamily) {
+  // The bounds the solve pipeline hands the search: pi, the UPP flag and
+  // the dispatched strategy's own coloring (certification disabled).
+  wdag::core::SolveOptions options;
+  options.exact_threshold = 0;
+  for (const std::string& name : wdag::gen::workload_names()) {
+    wdag::util::Xoshiro256 rng(99);
+    std::size_t checked = 0;
+    for (int i = 0; i < 30; ++i) {
+      const auto inst =
+          wdag::gen::workload_instance(name, wdag::gen::WorkloadParams{}, rng);
+      if (inst.family.size() > 48) continue;
+      SCOPED_TRACE(name + " #" + std::to_string(i));
+      const auto resp = wdag::api::solve_with(wdag::api::builtin_registry(),
+                                              inst.family, options);
+      const ConflictGraph cg(inst.family);
+      const auto two = chromatic_number(cg, kBudget);
+      const auto bounded = chromatic_number(
+          cg, {resp.load, resp.report.is_upp, resp.coloring}, kBudget);
+      ASSERT_TRUE(two.proven);
+      ASSERT_TRUE(bounded.proven);
+      EXPECT_EQ(bounded.chromatic_number, two.chromatic_number);
+      EXPECT_TRUE(is_valid_coloring(cg, bounded.coloring));
+      EXPECT_EQ(num_colors(bounded.coloring), bounded.chromatic_number);
+      EXPECT_LE(bounded.chromatic_number, resp.wavelengths);
+      EXPECT_GE(two.chromatic_number, resp.load);
+      if (resp.report.wavelengths_equal_load()) {  // Theorem 1
+        EXPECT_EQ(two.chromatic_number, resp.load);
+      }
+      ++checked;
+    }
+    EXPECT_GT(checked, 0u) << name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The certification tail: two random-upp instances (tests/data) on which
+// split-merge ships 11 wavelengths at load 10 while the optimum is 10.
+// Exact certification must decide both within a fixed node budget, in the
+// solve pipeline and in the two-argument chromatic_number alike.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kTailBudget = 250'000;
+
+wdag::paths::ParsedInstance load_tail_instance(const std::string& name) {
+  const std::string path = std::string(WDAG_TEST_DATA_DIR) + "/" + name;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return wdag::paths::parse_instance_text(text.str());
+}
+
+class CertifyTailTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CertifyTailTest, SolveWithProvesTheLoad) {
+  const auto inst = load_tail_instance(GetParam());
+  wdag::core::SolveOptions options;
+  options.exact_node_budget = kTailBudget;
+  const auto r = wdag::api::solve_with(wdag::api::builtin_registry(),
+                                       inst.family, options);
+  EXPECT_EQ(r.load, 10u);
+  EXPECT_EQ(r.wavelengths, 10u);
+  EXPECT_TRUE(r.optimal);
+  EXPECT_EQ(r.strategy_name, "exact");
+}
+
+TEST_P(CertifyTailTest, TwoArgumentChromaticNumberProvesTen) {
+  const auto inst = load_tail_instance(GetParam());
+  const ConflictGraph cg(inst.family);
+  const auto r = chromatic_number(cg, kTailBudget);
+  EXPECT_TRUE(r.proven);
+  EXPECT_EQ(r.chromatic_number, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomUpp, CertifyTailTest,
+                         ::testing::Values("random_upp_seed307_4046.txt",
+                                           "random_upp_seed12_64532.txt"));
 
 }  // namespace
