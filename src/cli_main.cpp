@@ -268,13 +268,9 @@ int usage(std::ostream& os) {
         "\n"
         "global flags:\n"
         "  --help         print this help and exit 0\n"
-        "  --version      print 'wdag VERSION (build-type, arch) [simd:\n"
-        "                 scalar]' and exit (the tag is fixed; it goes\n"
-        "                 away in 0.4.0)\n"
+        "  --version      print 'wdag VERSION (build-type, arch)' and exit\n"
         "\n"
         "environment:\n"
-        "  WDAG_FORCE_ISA deprecated, no effect: setting it prints one\n"
-        "                 warning on stderr (removed in 0.4.0)\n"
         "  WDAG_AFFINITY  pin pool workers to CPUs (Linux): 'on' pins\n"
         "                 worker i to cpu i, a comma list '0,2,4' cycles\n"
         "                 through those CPUs; unset/'off' leaves the OS free\n"
@@ -1132,10 +1128,6 @@ int main(int argc, char** argv) {
   // that disappears mid-write must surface as a failed write, never kill
   // the process (regression-tested by serve_sigpipe).
   wdag::util::ignore_sigpipe();
-  if (std::getenv("WDAG_FORCE_ISA") != nullptr) {
-    std::cerr << "wdag: WDAG_FORCE_ISA is deprecated and has no effect "
-                 "(there is one bitset path); it is removed in 0.4.0\n";
-  }
   try {
     const Cli cli(argc, argv);
     if (cli.has("help")) {
@@ -1143,8 +1135,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cli.has("version")) {
-      // The fixed tag keeps scripts that parse it working until 0.4.0.
-      std::cout << wdag::util::build_info_line() << " [simd: scalar]\n";
+      std::cout << wdag::util::build_info_line() << "\n";
       return 0;
     }
     if (cli.positional().empty()) return usage(std::cerr);

@@ -28,12 +28,22 @@
 //     dipaths the uniqueness argument degrades (see docs/ARCHITECTURE.md,
 //     "Split-merge with replicated dipaths"), so the fix-up below is
 //     defensive: it first-fits conflicting dipaths into the extra-color
-//     pool, growing the pool only when forced, and validates the final
-//     assignment. Each fix strictly removes conflicts, so the pass
-//     terminates.
+//     pool, growing the pool only when forced. A victim only ever takes a
+//     colour that fits or a fresh one, so a recoloring never creates a
+//     conflict: each fix strictly removes conflicts (the pass terminates),
+//     and no arc the conflict scan has passed can regain one. The scan
+//     therefore resumes at the arc of the last conflict and still finds
+//     the same sequence of pairs as a rescan from arc 0; it ends only once
+//     it has passed the last arc, which certifies the whole assignment.
 //
 // With C internal cycles the recursion yields w <= ceil((4/3)^C * pi)
 // (the paper's concluding remark in §4).
+//
+// The recursion works in place: each depth owns flat buffers (an arc list
+// for its graph, one arc buffer plus per-path offsets for its family)
+// that persist per thread, and the split rewrites the arc list with the
+// ids a DigraphBuilder rebuild would assign. See docs/ARCHITECTURE.md,
+// "Split in place".
 
 #include <cstddef>
 
@@ -62,8 +72,9 @@ struct SplitMergeResult {
 /// the bench E6 measures how the implementation tracks that bound.
 ///
 /// `preverified` skips the is-DAG / UPP precondition checks; pass true
-/// only when the caller has already established both (the dispatcher in
-/// core/solver.cpp classifies the host once and reuses the verdict).
+/// only when the caller has already established both (the dispatcher,
+/// `api::solve_with` in api/strategy.cpp, classifies the host once and
+/// reuses the verdict).
 SplitMergeResult color_upp_split_merge(const paths::DipathFamily& family,
                                        bool preverified = false);
 

@@ -5,7 +5,6 @@
 
 #include "dag/internal_cycle.hpp"
 #include "graph/topo.hpp"
-#include "paths/load.hpp"
 #include "util/check.hpp"
 
 namespace wdag::core {
@@ -33,10 +32,10 @@ struct Scratch {
   std::vector<std::uint32_t> inc_offsets;  ///< CSR arc -> incidence entries
   std::vector<IncEntry> inc_entries;
   std::vector<std::uint32_t> begin;
-  std::vector<std::uint32_t> color;
   std::vector<PathId> actives, newborns, frontier, next;
   std::vector<std::uint32_t> owner, cursor;
   std::vector<std::uint8_t> used, flipped;
+  std::vector<ArcId> removal_order;
 };
 
 Scratch& scratch() {
@@ -44,10 +43,11 @@ Scratch& scratch() {
   return s;
 }
 
-/// Incremental state of the reverse arc-replay.
+/// Incremental state of the reverse arc-replay. Dipath p is paths[p], read
+/// in place from the caller's storage; its colour is color[p].
 struct Replay {
-  const DipathFamily& family;
-  const Digraph& g;
+  std::span<const std::span<const ArcId>> paths;
+  std::vector<std::uint32_t>& color;
   Scratch& s;
   /// Current palette size (running max load == pi of the replayed graph).
   std::uint32_t palette = 0;
@@ -55,27 +55,28 @@ struct Replay {
   std::size_t chain_recolorings = 0;
   std::size_t paths_flipped = 0;
 
-  explicit Replay(const DipathFamily& fam)
-      : family(fam), g(fam.graph()), s(scratch()) {
-    const std::size_t n = family.size();
+  Replay(std::size_t num_arcs, std::span<const std::span<const ArcId>> ps,
+         std::vector<std::uint32_t>& out)
+      : paths(ps), color(out), s(scratch()) {
+    const std::size_t n = paths.size();
     // CSR incidence: entries of arc a at [inc_offsets[a], inc_offsets[a+1]),
     // filled in (path id, position) order like the per-arc vectors were.
-    s.inc_offsets.assign(g.num_arcs() + 1, 0);
+    s.inc_offsets.assign(num_arcs + 1, 0);
     std::size_t total = 0;
-    for (const Dipath& p : family.paths()) {
-      for (const ArcId a : p.arcs) ++s.inc_offsets[a + 1];
-      total += p.arcs.size();
+    for (const auto& arcs : paths) {
+      for (const ArcId a : arcs) ++s.inc_offsets[a + 1];
+      total += arcs.size();
     }
-    for (std::size_t a = 0; a < g.num_arcs(); ++a) {
+    for (std::size_t a = 0; a < num_arcs; ++a) {
       s.inc_offsets[a + 1] += s.inc_offsets[a];
     }
     s.inc_entries.resize(total);
     s.begin.resize(n);
-    s.color.assign(n, kNone);
+    color.assign(n, kNone);
     s.flipped.assign(n, 0);
     s.cursor.assign(s.inc_offsets.begin(), s.inc_offsets.end() - 1);
     for (PathId p = 0; p < n; ++p) {
-      const auto& arcs = family.path(p).arcs;
+      const auto& arcs = paths[p];
       s.begin[p] = static_cast<std::uint32_t>(arcs.size());
       for (std::uint32_t i = 0; i < arcs.size(); ++i) {
         s.inc_entries[s.cursor[arcs[i]]++] = IncEntry{p, i};
@@ -85,7 +86,7 @@ struct Replay {
 
   /// True when path p currently has at least one active arc.
   [[nodiscard]] bool active(PathId p) const {
-    return s.begin[p] < family.path(p).arcs.size();
+    return s.begin[p] < paths[p].size();
   }
 
   /// Appends to `out` (deduplicated) the paths with the given color sharing
@@ -94,12 +95,12 @@ struct Replay {
   /// it is replayed.
   void conflicts_with_color(PathId p, std::uint32_t wanted,
                             std::vector<PathId>& out) const {
-    const auto& arcs = family.path(p).arcs;
+    const auto& arcs = paths[p];
     for (std::uint32_t i = s.begin[p]; i < arcs.size(); ++i) {
       const ArcId a = arcs[i];
       for (std::uint32_t e = s.inc_offsets[a]; e < s.inc_offsets[a + 1]; ++e) {
         const auto [q, pos] = s.inc_entries[e];
-        if (q == p || s.color[q] != wanted) continue;
+        if (q == p || color[q] != wanted) continue;
         if (s.begin[q] > pos) continue;  // arc not yet active for q
         if (std::find(out.begin(), out.end(), q) == out.end()) {
           out.push_back(q);
@@ -118,7 +119,7 @@ struct Replay {
     std::fill(s.flipped.begin(), s.flipped.end(), 0);
     s.frontier.clear();
     s.frontier.push_back(start);
-    s.color[start] = beta;
+    color[start] = beta;
     s.flipped[start] = 1;
     ++paths_flipped;
     std::uint32_t from = beta;  // color whose holders now conflict with the
@@ -143,7 +144,7 @@ struct Replay {
         }
       }
       for (const PathId q : s.next) {
-        s.color[q] = to;
+        color[q] = to;
         s.flipped[q] = 1;
         ++paths_flipped;
       }
@@ -185,7 +186,7 @@ struct Replay {
       {
         s.owner.assign(palette, kNone);
         for (const PathId p : s.actives) {
-          const std::uint32_t c = s.color[p];
+          const std::uint32_t c = color[p];
           WDAG_ASSERT(c != kNone && c < palette,
                       "theorem1: active path without a palette color");
           if (s.owner[c] == kNone) {
@@ -201,7 +202,7 @@ struct Replay {
       // beta: a palette color used by no active suffix. It exists because
       // the actives use at most |actives|-1 <= |through|-1 < palette colors.
       s.used.assign(palette, 0);
-      for (const PathId p : s.actives) s.used[s.color[p]] = 1;
+      for (const PathId p : s.actives) s.used[color[p]] = 1;
       std::uint32_t beta = kNone;
       for (std::uint32_t c = 0; c < palette; ++c) {
         if (!s.used[c]) {
@@ -210,7 +211,7 @@ struct Replay {
         }
       }
       WDAG_ASSERT(beta != kNone, "theorem1: no free color for the chain");
-      chain_flip(kept, dup, s.color[dup], beta);
+      chain_flip(kept, dup, color[dup], beta);
     }
 
     // Prepend e to every path through it.
@@ -221,13 +222,13 @@ struct Replay {
     // Color the newborn single-arc paths with colors unused on e.
     if (!s.newborns.empty()) {
       s.used.assign(palette, 0);
-      for (const PathId p : s.actives) s.used[s.color[p]] = 1;
+      for (const PathId p : s.actives) s.used[color[p]] = 1;
       std::size_t next = 0;
       for (const PathId p : s.newborns) {
         while (next < palette && s.used[next]) ++next;
         WDAG_ASSERT(next < palette,
                     "theorem1: palette exhausted while coloring newborns");
-        s.color[p] = static_cast<std::uint32_t>(next);
+        color[p] = static_cast<std::uint32_t>(next);
         s.used[next] = 1;
       }
     }
@@ -235,6 +236,27 @@ struct Replay {
 };
 
 }  // namespace
+
+ReplayCounts replay_equal_load(std::size_t num_vertices,
+                               std::span<const graph::Arc> arcs,
+                               std::span<const std::span<const ArcId>> paths,
+                               std::vector<std::uint32_t>& coloring) {
+  Replay replay(arcs.size(), paths, coloring);
+  std::vector<ArcId>& removal_order = scratch().removal_order;
+  graph::arcs_in_tail_topo_order_into(num_vertices, arcs, removal_order);
+  for (auto it = removal_order.rbegin(); it != removal_order.rend(); ++it) {
+    replay.add_arc(*it);
+  }
+  for (const std::uint32_t c : coloring) {
+    WDAG_ASSERT(c != kNone, "theorem1: uncolored path remains");
+  }
+  // The replay's palette is exactly max group size over arcs == pi(G,P);
+  // no need to recount arc loads.
+  WDAG_ASSERT(conflict::num_colors(coloring) == replay.palette,
+              "theorem1: wavelength count differs from the load");
+  return ReplayCounts{replay.palette, replay.chain_recolorings,
+                      replay.paths_flipped};
+}
 
 Theorem1Result color_equal_load(const DipathFamily& family, bool preverified) {
   const Digraph& g = family.graph();
@@ -248,24 +270,16 @@ Theorem1Result color_equal_load(const DipathFamily& family, bool preverified) {
   Theorem1Result res;
   if (family.empty()) return res;
 
-  Replay replay(family);
-  thread_local std::vector<ArcId> removal_order;
-  graph::arcs_in_tail_topo_order_into(g, removal_order);
-  for (auto it = removal_order.rbegin(); it != removal_order.rend(); ++it) {
-    replay.add_arc(*it);
-  }
-
-  Scratch& s = scratch();
-  res.coloring.assign(s.color.begin(), s.color.end());
-  for (PathId p = 0; p < family.size(); ++p) {
-    WDAG_ASSERT(res.coloring[p] != kNone, "theorem1: uncolored path remains");
-  }
-  // The replay's palette is exactly max group size over arcs == pi(G,P);
-  // no need to recount arc loads.
-  res.load = replay.palette;
-  res.wavelengths = conflict::num_colors(res.coloring);
-  res.chain_recolorings = replay.chain_recolorings;
-  res.paths_flipped = replay.paths_flipped;
+  // The replay reads each dipath in place, from the family's own vectors.
+  thread_local std::vector<std::span<const ArcId>> views;
+  views.clear();
+  for (const Dipath& p : family.paths()) views.emplace_back(p.arcs);
+  const ReplayCounts counts =
+      replay_equal_load(g.num_vertices(), g.arcs(), views, res.coloring);
+  res.load = counts.load;
+  res.wavelengths = counts.load;  // == num_colors, asserted by the replay
+  res.chain_recolorings = counts.chain_recolorings;
+  res.paths_flipped = counts.paths_flipped;
 
   // The replay keeps per-arc colors distinct invariantly (the
   // distinct-color loop re-establishes it at every restored arc), so the
@@ -274,8 +288,6 @@ Theorem1Result color_equal_load(const DipathFamily& family, bool preverified) {
   WDAG_ASSERT(preverified ||
                   conflict::is_valid_assignment(family, res.coloring),
               "theorem1: produced an invalid wavelength assignment");
-  WDAG_ASSERT(res.wavelengths == res.load,
-              "theorem1: wavelength count differs from the load");
   return res;
 }
 

@@ -25,8 +25,12 @@
 // The result uses exactly pi(G,P) wavelengths, certifying w == pi.
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "conflict/coloring.hpp"
+#include "graph/digraph.hpp"
 #include "paths/family.hpp"
 
 namespace wdag::core {
@@ -50,9 +54,28 @@ struct Theorem1Result {
 /// precondition checks and the redundant final re-validation (the replay
 /// maintains per-arc distinctness invariantly; w == pi is still
 /// asserted). Pass true only when the caller has already established the
-/// preconditions (the dispatcher classifies the host once, and the
-/// split-merge recursion re-checks at every level).
+/// preconditions (the dispatcher, `api::solve_with`, classifies the host
+/// once).
 Theorem1Result color_equal_load(const paths::DipathFamily& family,
                                 bool preverified = false);
+
+/// Counters of one replay_equal_load() run.
+struct ReplayCounts {
+  std::size_t load = 0;               ///< pi == colours used (asserted)
+  std::size_t chain_recolorings = 0;  ///< alpha/beta chain executions
+  std::size_t paths_flipped = 0;      ///< dipaths recolored by the chains
+};
+
+/// The Theorem-1 replay itself, on plain storage: the host has vertices
+/// 0..num_vertices-1 and arc `a` is arcs[a]; dipath p is the arc sequence
+/// paths[p], read in place. Writes one colour per dipath into `coloring`
+/// and asserts that exactly pi colours are used. This is the one
+/// implementation: color_equal_load runs it on a DipathFamily's own
+/// vectors, and the split-merge recursion on its level buffers.
+/// Precondition (unchecked): the host is a DAG without internal cycle.
+ReplayCounts replay_equal_load(
+    std::size_t num_vertices, std::span<const graph::Arc> arcs,
+    std::span<const std::span<const graph::ArcId>> paths,
+    std::vector<std::uint32_t>& coloring);
 
 }  // namespace wdag::core

@@ -48,34 +48,53 @@ std::size_t internal_cycle_count(const Digraph& g) {
 }
 
 std::optional<OrientedCycle> find_internal_cycle(const Digraph& g) {
-  const auto mask = graph::internal_vertex_mask(g);
-  const auto arcs = internal_arcs(g, mask);
-  if (arcs.empty()) return std::nullopt;
+  OrientedCycle cyc;
+  if (!find_internal_cycle(g.num_vertices(), g.arcs(), cyc.steps)) {
+    return std::nullopt;
+  }
+  return cyc;
+}
 
-  // Undirected incidence restricted to internal arcs, in flat CSR form
-  // (the per-vertex vector-of-vectors was the hot allocation of the
-  // split-merge recursion). Entry order within a vertex matches the old
-  // push order — ascending arc id — so the DFS and the extracted cycle
-  // are unchanged.
+bool find_internal_cycle(std::size_t num_vertices,
+                         std::span<const graph::Arc> arcs,
+                         std::vector<CycleStep>& steps) {
+  // Internal vertices: bit 0 marks an entering arc, bit 1 a leaving one.
+  const std::size_t n = num_vertices;
+  thread_local std::vector<std::uint8_t> role;
+  role.assign(n, 0);
+  for (const graph::Arc& a : arcs) {
+    role[a.head] |= 1;
+    role[a.tail] |= 2;
+  }
+  const auto internal = [&](VertexId v) { return role[v] == 3; };
+
+  // Undirected incidence restricted to internal arcs (both endpoints
+  // internal), in flat CSR form. Entries of a vertex are in ascending arc
+  // id, which fixes the DFS and so the extracted cycle.
   struct Edge {
     VertexId to;
     ArcId arc;
     bool forward;  // true: walk tail->head
   };
-  const std::size_t n = g.num_vertices();
   thread_local std::vector<std::uint32_t> adj_off, cursor;
   thread_local std::vector<Edge> adj;
   adj_off.assign(n + 1, 0);
-  for (const ArcId a : arcs) {
-    ++adj_off[g.tail(a) + 1];
-    ++adj_off[g.head(a) + 1];
+  std::size_t internal_arcs = 0;
+  for (const graph::Arc& a : arcs) {
+    if (!internal(a.tail) || !internal(a.head)) continue;
+    ++adj_off[a.tail + 1];
+    ++adj_off[a.head + 1];
+    ++internal_arcs;
   }
+  if (internal_arcs == 0) return false;
   for (std::size_t v = 0; v < n; ++v) adj_off[v + 1] += adj_off[v];
-  adj.resize(2 * arcs.size());
+  adj.resize(2 * internal_arcs);
   cursor.assign(adj_off.begin(), adj_off.end() - 1);
-  for (const ArcId a : arcs) {
-    adj[cursor[g.tail(a)]++] = Edge{g.head(a), a, true};
-    adj[cursor[g.head(a)]++] = Edge{g.tail(a), a, false};
+  for (ArcId id = 0; id < arcs.size(); ++id) {
+    const graph::Arc& a = arcs[id];
+    if (!internal(a.tail) || !internal(a.head)) continue;
+    adj[cursor[a.tail]++] = Edge{a.head, id, true};
+    adj[cursor[a.head]++] = Edge{a.tail, id, false};
   }
 
   // Iterative DFS. For each visited vertex remember the (arc, forward) step
@@ -83,7 +102,7 @@ std::optional<OrientedCycle> find_internal_cycle(const Digraph& g) {
   // visited *active* vertex closes a cycle.
   thread_local std::vector<std::uint8_t> state;
   thread_local std::vector<CycleStep> entry;
-  thread_local std::vector<VertexId> parent;
+  thread_local std::vector<VertexId> parent, stack;
   thread_local std::vector<std::uint32_t> edge_it;
   state.assign(n, 0);  // 0 unvisited, 1 active, 2 done
   entry.assign(n, CycleStep{});
@@ -91,11 +110,11 @@ std::optional<OrientedCycle> find_internal_cycle(const Digraph& g) {
   edge_it.assign(n, 0);
 
   for (VertexId root = 0; root < n; ++root) {
-    if (!mask[root] || state[root] != 0 ||
+    if (!internal(root) || state[root] != 0 ||
         adj_off[root] == adj_off[root + 1]) {
       continue;
     }
-    std::vector<VertexId> stack = {root};
+    stack.assign(1, root);
     state[root] = 1;
     while (!stack.empty()) {
       const VertexId u = stack.back();
@@ -115,35 +134,30 @@ std::optional<OrientedCycle> find_internal_cycle(const Digraph& g) {
         stack.push_back(e.to);
       } else if (state[e.to] == 1) {
         // Cycle: e.to is an ancestor of u on the DFS stack. Walk u's parent
-        // chain back to e.to, then close with edge e.
-        OrientedCycle cyc;
-        std::vector<CycleStep> up;  // steps from e.to down to u
-        VertexId w = u;
-        while (w != e.to) {
-          up.push_back(entry[w]);
-          w = parent[w];
+        // chain back to e.to, then close with edge e, which walks
+        // u -> e.to (Edge.forward already describes that direction).
+        steps.clear();
+        for (VertexId w = u; w != e.to; w = parent[w]) {
           WDAG_ASSERT(w != graph::kNoVertex,
                       "find_internal_cycle: broken parent chain");
+          steps.push_back(entry[w]);
         }
-        std::reverse(up.begin(), up.end());
-        cyc.steps = std::move(up);
-        cyc.steps.push_back(CycleStep{e.arc, e.forward});
-        // The closing step walks u -> e.to; orientation flag already
-        // matches because Edge.forward describes the u -> e.to direction.
-        WDAG_ASSERT(is_valid_oriented_cycle(g, cyc),
+        std::reverse(steps.begin(), steps.end());
+        steps.push_back(CycleStep{e.arc, e.forward});
+        WDAG_ASSERT(is_valid_oriented_cycle(arcs, steps),
                     "find_internal_cycle: extracted cycle is invalid");
-        // Internality check against the mask already in hand (the public
-        // is_internal_cycle would recompute it).
-        for (const VertexId cv : cycle_vertices(g, cyc)) {
-          WDAG_ASSERT(mask[cv],
+        for (const CycleStep& st : steps) {
+          const VertexId start = st.forward ? arcs[st.arc].tail
+                                            : arcs[st.arc].head;
+          WDAG_ASSERT(internal(start),
                       "find_internal_cycle: extracted cycle is not internal");
         }
-        return cyc;
+        return true;
       }
       // state[e.to] == 2: finished component part; no cycle through here.
     }
   }
-  return std::nullopt;
+  return false;
 }
 
 bool is_internal_cycle(const Digraph& g, const OrientedCycle& c) {

@@ -12,6 +12,8 @@
 // for explicit extraction.
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "dag/oriented_cycle.hpp"
 #include "graph/digraph.hpp"
@@ -31,6 +33,17 @@ std::size_t internal_cycle_count(const graph::Digraph& g);
 /// The returned cycle is a valid OrientedCycle of g visiting only internal
 /// vertices; the result is deterministic for a given graph.
 std::optional<OrientedCycle> find_internal_cycle(const graph::Digraph& g);
+
+/// find_internal_cycle() for the graph on vertices 0..num_vertices-1 whose
+/// arc `a` is arcs[a] (the form `Digraph::arcs()` returns). Writes the
+/// cycle's steps into `steps` and returns true, or returns false when
+/// there is none. Degrees, the undirected incidence and the DFS state live
+/// in thread-local buffers, so a caller that reuses `steps` allocates
+/// nothing once warm. This is the one implementation; the Digraph overload
+/// forwards to it, and both return the same cycle.
+bool find_internal_cycle(std::size_t num_vertices,
+                         std::span<const graph::Arc> arcs,
+                         std::vector<CycleStep>& steps);
 
 /// True when `c` is a valid oriented cycle of g whose vertices are all
 /// internal in g.

@@ -1,7 +1,6 @@
 #include "dag/oriented_cycle.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -21,15 +20,27 @@ VertexId step_end(const Digraph& g, const CycleStep& s) {
 }
 
 bool is_valid_oriented_cycle(const Digraph& g, const OrientedCycle& c) {
-  if (c.steps.size() < 2) return false;
-  std::set<ArcId> seen;
-  for (std::size_t i = 0; i < c.steps.size(); ++i) {
-    const CycleStep& cur = c.steps[i];
-    if (cur.arc >= g.num_arcs()) return false;
-    if (!seen.insert(cur.arc).second) return false;  // repeated arc
-    const CycleStep& nxt = c.steps[(i + 1) % c.steps.size()];
-    if (nxt.arc >= g.num_arcs()) return false;
-    if (step_end(g, cur) != step_start(g, nxt)) return false;
+  return is_valid_oriented_cycle(g.arcs(), c.steps);
+}
+
+bool is_valid_oriented_cycle(std::span<const graph::Arc> arcs,
+                             std::span<const CycleStep> steps) {
+  if (steps.size() < 2) return false;
+  for (const CycleStep& s : steps) {
+    if (s.arc >= arcs.size()) return false;
+  }
+  const auto start = [&](const CycleStep& s) {
+    return s.forward ? arcs[s.arc].tail : arcs[s.arc].head;
+  };
+  const auto end = [&](const CycleStep& s) {
+    return s.forward ? arcs[s.arc].head : arcs[s.arc].tail;
+  };
+  thread_local std::vector<std::uint8_t> seen;
+  seen.assign(arcs.size(), 0);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const CycleStep& cur = steps[i];
+    if (seen[cur.arc]++ != 0) return false;  // repeated arc
+    if (end(cur) != start(steps[(i + 1) % steps.size()])) return false;
   }
   return true;
 }

@@ -8,6 +8,7 @@
 // direction, between k "cycle sources" b_i (both incident cycle arcs leave
 // b_i) and k "cycle sinks" c_i (both incident cycle arcs enter c_i).
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,13 @@ graph::VertexId step_end(const graph::Digraph& g, const CycleStep& s);
 
 /// Checks closure and arc-distinctness of an oriented cycle in g.
 bool is_valid_oriented_cycle(const graph::Digraph& g, const OrientedCycle& c);
+
+/// The same check for the cycle `steps` in the graph whose arc `a` is
+/// arcs[a]. Repeated arcs are found with a per-arc mark buffer
+/// (thread-local). This is the one implementation; the Digraph overload
+/// forwards to it.
+bool is_valid_oriented_cycle(std::span<const graph::Arc> arcs,
+                             std::span<const CycleStep> steps);
 
 /// Vertices visited by the cycle, in walk order (one entry per step start).
 std::vector<graph::VertexId> cycle_vertices(const graph::Digraph& g,

@@ -1,30 +1,44 @@
 #include "graph/topo.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace wdag::graph {
 
-std::optional<std::vector<VertexId>> topological_sort(const Digraph& g) {
-  const std::size_t n = g.num_vertices();
-  std::vector<std::uint32_t> indeg(n);
-  std::vector<VertexId> order;
+namespace {
+
+/// Kahn's algorithm: `order` receives the sources in ascending id, then
+/// serves as the queue. `indeg` is consumed; `out_arcs(u)` lists the arcs
+/// leaving u. Returns false on a directed cycle.
+template <class OutArcs>
+bool kahn(std::span<const Arc> arcs, std::vector<std::uint32_t>& indeg,
+          const OutArcs& out_arcs, std::vector<VertexId>& order) {
+  const std::size_t n = indeg.size();
+  order.clear();
   order.reserve(n);
   for (VertexId v = 0; v < n; ++v) {
-    indeg[v] = static_cast<std::uint32_t>(g.in_degree(v));
     if (indeg[v] == 0) order.push_back(v);
   }
-  // `order` doubles as the BFS queue: elements are never removed.
-  const auto& arcs = g.arcs();
+  // Elements are never removed from `order`.
   for (std::size_t qi = 0; qi < order.size(); ++qi) {
-    const VertexId u = order[qi];
-    for (ArcId a : g.out_arcs(u)) {
+    for (const ArcId a : out_arcs(order[qi])) {
       const VertexId w = arcs[a].head;
       if (--indeg[w] == 0) order.push_back(w);
     }
   }
-  if (order.size() != n) return std::nullopt;  // directed cycle
+  return order.size() == n;
+}
+
+}  // namespace
+
+std::optional<std::vector<VertexId>> topological_sort(const Digraph& g) {
+  const std::size_t n = g.num_vertices();
+  std::vector<std::uint32_t> indeg(n);
+  for (VertexId v = 0; v < n; ++v) {
+    indeg[v] = static_cast<std::uint32_t>(g.in_degree(v));
+  }
+  std::vector<VertexId> order;
+  const auto out_arcs = [&](VertexId u) { return g.out_arcs(u); };
+  if (!kahn(g.arcs(), indeg, out_arcs, order)) return std::nullopt;
   return order;
 }
 
@@ -51,16 +65,42 @@ std::vector<ArcId> arcs_in_tail_topo_order(const Digraph& g) {
 }
 
 void arcs_in_tail_topo_order_into(const Digraph& g, std::vector<ArcId>& out) {
-  const auto order = topological_sort(g);
-  WDAG_REQUIRE(order.has_value(), "arcs_in_tail_topo_order: input is not a DAG");
-  out.clear();
-  out.reserve(g.num_arcs());
-  for (VertexId v : *order) {
-    // out_arcs() already lists arcs in ascending id order (ids are handed
-    // out in insertion order and the CSR fill preserves it).
-    for (ArcId a : g.out_arcs(v)) out.push_back(a);
+  arcs_in_tail_topo_order_into(g.num_vertices(), g.arcs(), out);
+}
+
+void arcs_in_tail_topo_order_into(std::size_t num_vertices,
+                                  std::span<const Arc> arcs,
+                                  std::vector<ArcId>& out) {
+  // Out-lists in CSR form, filled in arc id order.
+  thread_local std::vector<std::uint32_t> indeg, out_begin, cursor;
+  thread_local std::vector<ArcId> out_list;
+  thread_local std::vector<VertexId> order;
+  indeg.assign(num_vertices, 0);
+  out_begin.assign(num_vertices + 1, 0);
+  for (const Arc& a : arcs) {
+    ++indeg[a.head];
+    ++out_begin[a.tail + 1];
   }
-  WDAG_ASSERT(out.size() == g.num_arcs(),
+  for (std::size_t v = 0; v < num_vertices; ++v) {
+    out_begin[v + 1] += out_begin[v];
+  }
+  out_list.resize(arcs.size());
+  cursor.assign(out_begin.begin(), out_begin.end() - 1);
+  for (ArcId a = 0; a < arcs.size(); ++a) {
+    out_list[cursor[arcs[a].tail]++] = a;
+  }
+  const auto out_arcs = [&](VertexId u) {
+    return std::span<const ArcId>(out_list.data() + out_begin[u],
+                                  out_list.data() + out_begin[u + 1]);
+  };
+  const bool acyclic = kahn(arcs, indeg, out_arcs, order);
+  WDAG_REQUIRE(acyclic, "arcs_in_tail_topo_order: input is not a DAG");
+  out.clear();
+  out.reserve(arcs.size());
+  for (const VertexId v : order) {
+    for (const ArcId a : out_arcs(v)) out.push_back(a);
+  }
+  WDAG_ASSERT(out.size() == arcs.size(),
               "arcs_in_tail_topo_order: arc count mismatch");
 }
 

@@ -6,6 +6,7 @@
 // strictly from the front (see core/theorem1.cpp).
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -35,5 +36,15 @@ std::vector<ArcId> arcs_in_tail_topo_order(const Digraph& g);
 /// arcs_in_tail_topo_order(), written into a caller-owned buffer so hot
 /// loops (the Theorem-1 replay runs once per batch instance) can reuse it.
 void arcs_in_tail_topo_order_into(const Digraph& g, std::vector<ArcId>& out);
+
+/// The same order for the graph on vertices 0..num_vertices-1 whose arc
+/// `a` is arcs[a] — the form `Digraph::arcs()` returns, and the form the
+/// split-merge recursion keeps its split graphs in. Degrees and out-lists
+/// are rebuilt in thread-local buffers, out-lists in ascending arc id like
+/// `Digraph::out_arcs`, so both overloads return the same sequence. This
+/// is the one implementation; the Digraph overload forwards to it.
+void arcs_in_tail_topo_order_into(std::size_t num_vertices,
+                                  std::span<const Arc> arcs,
+                                  std::vector<ArcId>& out);
 
 }  // namespace wdag::graph

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
-#include <new>
 
 #include "util/check.hpp"
 
@@ -204,46 +202,5 @@ std::size_t DynamicBitset::find_next_zero(std::size_t i) const {
 std::vector<std::size_t> DynamicBitset::to_indices() const {
   return view().to_indices();
 }
-
-// -------------------------- aligned words -----------------------------
-
-// AlignedWords and kBitsetAlignment are deprecated and unused by the
-// library; only their own definitions below may name them.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-AlignedWords::AlignedWords(std::size_t words) : words_(words) {
-  if (words_ == 0) return;
-  data_ = static_cast<std::uint64_t*>(::operator new(
-      words_ * sizeof(std::uint64_t), std::align_val_t{kBitsetAlignment}));
-  std::memset(data_, 0, words_ * sizeof(std::uint64_t));
-}
-
-AlignedWords::AlignedWords(AlignedWords&& other) noexcept
-    : data_(other.data_), words_(other.words_) {
-  other.data_ = nullptr;
-  other.words_ = 0;
-}
-
-AlignedWords& AlignedWords::operator=(AlignedWords&& other) noexcept {
-  if (this != &other) {
-    this->~AlignedWords();
-    data_ = other.data_;
-    words_ = other.words_;
-    other.data_ = nullptr;
-    other.words_ = 0;
-  }
-  return *this;
-}
-
-AlignedWords::~AlignedWords() {
-  if (data_ != nullptr) {
-    ::operator delete(data_, std::align_val_t{kBitsetAlignment});
-  }
-}
-
-void AlignedWords::zero() { std::fill_n(data_, words_, 0); }
-
-#pragma GCC diagnostic pop
 
 }  // namespace wdag::util

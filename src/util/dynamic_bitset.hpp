@@ -18,11 +18,6 @@
 
 namespace wdag::util {
 
-/// Alignment (bytes) of every AlignedWords allocation. Deprecated with
-/// AlignedWords; removed in 0.4.0.
-[[deprecated("unused by wdag since 0.3.1; removed in 0.4.0")]]
-inline constexpr std::size_t kBitsetAlignment = 64;
-
 /// Non-owning read-only view of a bitset: a word pointer plus a bit
 /// count. The referenced words must stay alive and unchanged while the
 /// view is used, and bits beyond size() in the last word must be zero —
@@ -176,37 +171,6 @@ class DynamicBitset {
 
   std::vector<std::uint64_t> data_;
   std::size_t bits_ = 0;
-};
-
-/// Move-only 64-byte-aligned zero-initialized array of 64-bit words.
-/// Deprecated: ConflictGraph's row pool is a plain std::vector since
-/// 0.3.1 and nothing in wdag uses this type; removed in 0.4.0.
-class [[deprecated("use std::vector<std::uint64_t>; removed in 0.4.0")]]
-AlignedWords {
- public:
-  AlignedWords() = default;
-
-  /// Allocates `words` zeroed 64-bit words at kBitsetAlignment.
-  explicit AlignedWords(std::size_t words);
-
-  AlignedWords(const AlignedWords&) = delete;
-  AlignedWords& operator=(const AlignedWords&) = delete;
-  AlignedWords(AlignedWords&& other) noexcept;
-  AlignedWords& operator=(AlignedWords&& other) noexcept;
-  ~AlignedWords();
-
-  [[nodiscard]] std::uint64_t* data() { return data_; }
-  [[nodiscard]] const std::uint64_t* data() const { return data_; }
-
-  /// Capacity in 64-bit words.
-  [[nodiscard]] std::size_t size() const { return words_; }
-
-  /// Sets every word to zero.
-  void zero();
-
- private:
-  std::uint64_t* data_ = nullptr;
-  std::size_t words_ = 0;
 };
 
 }  // namespace wdag::util

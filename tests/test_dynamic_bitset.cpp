@@ -378,31 +378,4 @@ TEST(DynamicBitsetTest, ViewRoundTripsThroughOwningBitset) {
   }
 }
 
-// AlignedWords and kBitsetAlignment are deprecated and removed in 0.4.0;
-// until then their behaviour stays pinned here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DynamicBitsetTest, AlignedWordsIsCacheLineAlignedAndZeroed) {
-  using wdag::util::AlignedWords;
-  for (const std::size_t words : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{8}, std::size_t{129}}) {
-    AlignedWords buf(words);
-    ASSERT_EQ(buf.size(), words);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) %
-                  wdag::util::kBitsetAlignment,
-              0u);
-    for (std::size_t i = 0; i < words; ++i) EXPECT_EQ(buf.data()[i], 0u);
-    buf.data()[0] = ~std::uint64_t{0};
-    buf.zero();
-    EXPECT_EQ(buf.data()[0], 0u);
-    AlignedWords moved(std::move(buf));
-    EXPECT_EQ(moved.size(), words);
-    EXPECT_EQ(buf.size(), 0u);  // NOLINT(bugprone-use-after-move)
-  }
-  const AlignedWords empty;
-  EXPECT_EQ(empty.size(), 0u);
-  EXPECT_EQ(empty.data(), nullptr);
-}
-#pragma GCC diagnostic pop
-
 }  // namespace

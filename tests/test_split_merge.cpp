@@ -3,17 +3,43 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
 #include "conflict/coloring.hpp"
 #include "conflict/conflict_graph.hpp"
 #include "conflict/exact_color.hpp"
 #include "core/split_merge.hpp"
+#include "dag/internal_cycle.hpp"
 #include "gen/family_gen.hpp"
 #include "gen/paper_instances.hpp"
 #include "gen/upp_gen.hpp"
+#include "gen/workloads.hpp"
 #include "helpers.hpp"
 #include "paths/load.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+
+// Every global operator new in this binary counts itself, so the
+// allocation test below can hold the recursion to a count, not a clock.
+namespace {
+std::atomic<std::size_t> heap_allocations{0};
+}  // namespace
+
+// Out of line, so GCC does not pair the malloc() and free() it would see.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
@@ -149,5 +175,99 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{108, {5, 1, 2, 1}, 25},
                       SweepParam{109, {2, 3, 2, 2}, 30},
                       SweepParam{110, {6, 1, 1, 1}, 40}));
+
+// --- Golden digests of the paper colourer's choices ----------------------
+//
+// Validity and bound checks cannot see a changed choice that keeps the
+// count: on random-upp, flipping the split-arc tie-break changes about
+// one result in seven but fewer than one wavelength count in 500. These
+// digests pin every output field of every call, over fixed instance
+// pools, so a rewrite of the recursion must reproduce the recorded
+// colourer exactly. A change that alters the colourings on purpose
+// re-records them and says why.
+
+/// FNV-1a over 64-bit words, folded across a whole pool.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+struct GoldenPool {
+  const char* family;
+  wdag::gen::WorkloadParams params;
+  std::uint64_t seed;
+  std::size_t draws;
+  std::uint64_t digest;
+};
+
+TEST(SplitMergeGoldenTest, ChoicesMatchRecordedDigests) {
+  // The paper gadgets are fixed instances, so their repeated draws also
+  // check that no state leaks from one call into the next. odd-cycle runs
+  // at k = 4 (C9): its default k = 3 is c7's instance.
+  wdag::gen::WorkloadParams c9;
+  c9.k = 4;
+  const GoldenPool pools[] = {
+      {"random-upp", {}, 1, 4096, 0x591a66f94317b0a2ULL},
+      {"random-upp", {}, 2, 4096, 0x0e6ed41271f41d7dULL},
+      {"odd-cycle", c9, 1, 500, 0xc1f9b436a4a63165ULL},
+      {"c5", {}, 1, 500, 0xe55e059822603565ULL},
+      {"c7", {}, 1, 500, 0x9d1b1dbbb230de25ULL},
+      {"havet", {}, 1, 500, 0x0572a5eb80f476a5ULL},
+      {"butterfly", {}, 1, 500, 0x5cd0d3abb1416fa7ULL},
+  };
+  for (const GoldenPool& pool : pools) {
+    Fnv1a h;
+    for (std::size_t i = 0; i < pool.draws; ++i) {
+      wdag::util::Xoshiro256 rng((pool.seed << 32) | i);
+      const auto inst =
+          wdag::gen::workload_instance(pool.family, pool.params, rng);
+      const auto res = color_upp_split_merge(inst.family, true);
+      h.add(res.coloring.size());
+      for (const auto c : res.coloring) h.add(c);
+      h.add(res.wavelengths);
+      h.add(res.load);
+      h.add(res.levels);
+      h.add(res.cycle_classes);
+      h.add(res.fixups);
+    }
+    EXPECT_EQ(h.h, pool.digest)
+        << pool.family << " seed " << pool.seed << ": 0x" << std::hex << h.h;
+  }
+}
+
+// --- Heap allocations per call -------------------------------------------
+//
+// Each recursion level works in buffers that persist per thread, so once
+// they are warm a call allocates little beyond its result and the load
+// count. The bound leaves room for those and fails any per-level rebuild
+// of a graph or family, which costs dozens of allocations.
+
+TEST(SplitMergeAllocationTest, FewHeapAllocationsPerCallOnceWarm) {
+  std::vector<wdag::gen::Instance> pool;
+  for (std::uint64_t i = 0; pool.size() < 512; ++i) {
+    wdag::util::Xoshiro256 rng((std::uint64_t{3} << 32) | i);
+    auto inst = wdag::gen::workload_instance("random-upp", {}, rng);
+    if (wdag::dag::has_internal_cycle(*inst.graph)) {
+      pool.push_back(std::move(inst));
+    }
+  }
+  for (const auto& inst : pool) {
+    EXPECT_GT(color_upp_split_merge(inst.family, true).levels, 0u);
+  }
+  const std::size_t before = heap_allocations.load();
+  for (const auto& inst : pool) {
+    (void)color_upp_split_merge(inst.family, true);
+  }
+  const double per_call =
+      static_cast<double>(heap_allocations.load() - before) /
+      static_cast<double>(pool.size());
+  EXPECT_LT(per_call, 8.0);
+  RecordProperty("allocations_per_call", std::to_string(per_call));
+}
 
 }  // namespace

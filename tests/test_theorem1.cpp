@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "conflict/conflict_graph.hpp"
@@ -11,6 +12,7 @@
 #include "gen/family_gen.hpp"
 #include "gen/paper_instances.hpp"
 #include "gen/random_dag.hpp"
+#include "gen/workloads.hpp"
 #include "helpers.hpp"
 #include "paths/load.hpp"
 #include "util/check.hpp"
@@ -173,6 +175,52 @@ TEST(Theorem1Test, ChainRecoloringsAreCountedAndBounded) {
   }
   if (res.paths_flipped > 0) {
     EXPECT_GE(res.paths_flipped, res.chain_recolorings);
+  }
+}
+
+// --- Golden digests of the replay's choices ------------------------------
+//
+// Theorem 1 fixes the count (w == pi) but not which colour each dipath
+// gets: that follows from Kahn's arc order, the (path id, position)
+// incidence order and the chain rule. These digests pin the colouring and
+// the chain statistics over fixed pools, so a rewrite of the replay must
+// reproduce it exactly.
+
+/// FNV-1a over 64-bit words, folded across a whole pool.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+TEST(Theorem1GoldenTest, ChoicesMatchRecordedDigests) {
+  struct GoldenPool {
+    const char* family;
+    std::uint64_t seed;
+    std::size_t draws;
+    std::uint64_t digest;
+  };
+  const GoldenPool pools[] = {
+      {"tree", 1, 2048, 0x32da5dd0fd4378b8ULL},
+      {"no-internal", 1, 2048, 0x176335c712291a0aULL},
+  };
+  for (const GoldenPool& pool : pools) {
+    Fnv1a h;
+    for (std::size_t i = 0; i < pool.draws; ++i) {
+      wdag::util::Xoshiro256 rng((pool.seed << 32) | i);
+      const auto inst = wdag::gen::workload_instance(pool.family, {}, rng);
+      const auto res = color_equal_load(inst.family);
+      h.add(res.coloring.size());
+      for (const auto c : res.coloring) h.add(c);
+      h.add(res.chain_recolorings);
+      h.add(res.paths_flipped);
+    }
+    EXPECT_EQ(h.h, pool.digest)
+        << pool.family << " seed " << pool.seed << ": 0x" << std::hex << h.h;
   }
 }
 
