@@ -12,21 +12,6 @@ namespace {
 constexpr std::uint32_t kUncolored = UINT32_MAX;
 constexpr std::uint32_t kNoEntry = UINT32_MAX;
 
-/// Lazy-deletion entry of the DSATUR saturation queue.
-struct SatEntry {
-  std::uint32_t sat;
-  std::uint32_t deg;
-  std::uint32_t v;
-};
-
-/// Max-heap order: higher saturation first, then higher degree, then lower
-/// vertex id — exactly the scalar argmax's tie-breaking.
-bool operator<(const SatEntry& a, const SatEntry& b) {
-  if (a.sat != b.sat) return a.sat < b.sat;
-  if (a.deg != b.deg) return a.deg < b.deg;
-  return a.v > b.v;
-}
-
 /// Reusable buffers for the coloring kernels and validators. One instance
 /// per thread, so batch workers sweep a whole chunk of instances through
 /// the hot path without reallocating.
@@ -36,9 +21,15 @@ struct Scratch {
   std::vector<std::uint32_t> offsets;    ///< CSR arc incidence
   std::vector<paths::PathId> ids;
   std::vector<std::uint32_t> sorted;     ///< fallback for sparse color ids
-  std::vector<std::uint64_t> sat_words;  ///< flat DSATUR saturation masks
-  std::vector<std::uint32_t> sat_count;
-  std::vector<SatEntry> heap;
+  // DSATUR's tables (see dsatur_coloring); the bitsets are flat, one
+  // fixed word stride per row.
+  std::vector<std::uint32_t> rank;        ///< vertex -> static rank
+  std::vector<std::uint32_t> vertex_at;   ///< static rank -> vertex
+  std::vector<std::uint32_t> sat_count;   ///< vertex -> saturation
+  std::vector<std::uint32_t> level_size;  ///< saturation -> vertices in it
+  std::vector<std::uint64_t> levels;      ///< per saturation: rank set
+  std::vector<std::uint64_t> touched;     ///< per color: vertex set
+  std::vector<std::uint64_t> uncolored;   ///< vertex set
 };
 
 Scratch& scratch() {
@@ -202,67 +193,93 @@ Coloring dsatur_coloring(const ConflictGraph& cg) {
   if (n == 0) return colors;
   Scratch& s = scratch();
 
-  // Saturation masks are capped at max_degree + 1 bits: every assigned
-  // color is at most its vertex's degree, so no neighbor color exceeds
-  // max_degree. One flat buffer with a uniform word stride per vertex.
-  const std::size_t stride = (cg.max_degree() + 1 + 63) / 64;
-  s.sat_words.assign(n * stride, 0);
+  // Every saturation and every assigned color is at most its vertex's
+  // degree, so both lie in 0..max_degree. The level and color tables
+  // below are max_degree + 1 sets of n bits each: neither outgrows the
+  // adjacency pool's n rows of n bits.
+  const std::size_t delta = cg.max_degree();
+  const std::size_t words = (n + 63) / 64;
+
+  // Static rank: degree descending, then id ascending, by a counting sort
+  // over the degrees (level_size holds its bucket offsets until the levels
+  // are set up). Among vertices of equal saturation the lowest rank is
+  // then the one the argmax (saturation, then degree, then lowest id)
+  // picks.
+  s.level_size.assign(delta + 2, 0);
+  for (std::size_t v = 0; v < n; ++v) ++s.level_size[delta - cg.degree(v) + 1];
+  for (std::size_t d = 1; d <= delta + 1; ++d) {
+    s.level_size[d] += s.level_size[d - 1];
+  }
+  s.rank.resize(n);
+  s.vertex_at.resize(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint32_t r = s.level_size[delta - cg.degree(v)]++;
+    s.rank[v] = r;
+    s.vertex_at[r] = static_cast<std::uint32_t>(v);
+  }
+
+  // Level t holds the ranks of the uncolored vertices of saturation t;
+  // every vertex starts at level 0. touched[c] holds the vertices with a
+  // neighbor of color c, so an uncolored vertex's saturation is the
+  // number of touched sets it is in.
+  s.level_size.assign(delta + 1, 0);
+  s.level_size[0] = static_cast<std::uint32_t>(n);
+  s.levels.assign((delta + 1) * words, 0);
+  s.touched.assign((delta + 1) * words, 0);
+  s.uncolored.assign(words, ~std::uint64_t{0});
+  if (n % 64 != 0) s.uncolored[words - 1] = (std::uint64_t{1} << (n % 64)) - 1;
+  std::copy(s.uncolored.begin(), s.uncolored.end(), s.levels.begin());
   s.sat_count.assign(n, 0);
 
-  // Saturation queue with lazy deletion: a vertex is re-pushed whenever
-  // its saturation grows, and stale entries (already colored, or an old
-  // saturation value) are discarded on pop. Total work is
-  // O((n + m) log n) instead of the scalar argmax's O(n) per step.
-  std::vector<SatEntry>& heap = s.heap;
-  heap.clear();
-  heap.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    heap.push_back(SatEntry{0, static_cast<std::uint32_t>(cg.degree(v)),
-                            static_cast<std::uint32_t>(v)});
-  }
-  std::make_heap(heap.begin(), heap.end());
-
+  std::size_t top = 0;  // no level above it is non-empty
   for (std::size_t step = 0; step < n; ++step) {
-    SatEntry top{};
-    while (true) {
-      WDAG_ASSERT(!heap.empty(), "dsatur: saturation queue exhausted");
-      top = heap.front();
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
-      if (colors[top.v] == kUncolored && top.sat == s.sat_count[top.v]) break;
+    // The pick: the lowest rank in the highest non-empty level.
+    while (s.level_size[top] == 0) {
+      WDAG_ASSERT(top > 0, "dsatur: every saturation level is empty");
+      --top;
     }
-    const std::size_t best = top.v;
+    std::uint64_t* level = s.levels.data() + top * words;
+    std::size_t lw = 0;
+    while (lw < words && level[lw] == 0) ++lw;
+    WDAG_ASSERT(lw < words, "dsatur: saturation level count out of step");
+    const std::size_t r =
+        lw * 64 + static_cast<std::size_t>(std::countr_zero(level[lw]));
+    level[lw] &= level[lw] - 1;
+    --s.level_size[top];
+    const std::size_t best = s.vertex_at[r];
+    s.uncolored[best / 64] &= ~(std::uint64_t{1} << (best % 64));
 
-    // First color absent from the saturation mask: one zero-scan.
-    const std::uint64_t* words = s.sat_words.data() + best * stride;
-    std::uint32_t c = kUncolored;
-    for (std::size_t w = 0; w < stride; ++w) {
-      if (words[w] != ~std::uint64_t{0}) {
-        c = static_cast<std::uint32_t>(
-            w * 64 + static_cast<std::size_t>(std::countr_one(words[w])));
-        break;
-      }
+    // The lowest color no neighbor has: the first c whose touched set
+    // lacks best. It is at most best's saturation, so the probes of a run
+    // add up to O(n + m).
+    std::uint32_t c = 0;
+    while (c <= delta &&
+           ((s.touched[c * words + best / 64] >> (best % 64)) & 1) != 0) {
+      ++c;
     }
-    WDAG_ASSERT(c != kUncolored, "dsatur: no free color within the cap");
+    WDAG_ASSERT(c <= delta, "dsatur: no free color within the cap");
     colors[best] = c;
 
+    // The vertices whose saturation grows are the uncolored neighbors with
+    // no neighbor of color c yet, found a word at a time; each moves up
+    // one level.
     const auto& row = cg.neighbors(best);
-    const std::uint64_t color_bit = std::uint64_t{1} << (c % 64);
-    for (std::size_t w = 0; w < row.num_words(); ++w) {
-      std::uint64_t bits = row.word(w);
+    std::uint64_t* touched = s.touched.data() + c * words;
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t bits = row.word(w) & s.uncolored[w] & ~touched[w];
+      touched[w] |= bits;
       while (bits != 0) {
         const std::size_t q =
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         bits &= bits - 1;
-        if (colors[q] != kUncolored) continue;
-        std::uint64_t& qword = s.sat_words[q * stride + c / 64];
-        if ((qword & color_bit) == 0) {
-          qword |= color_bit;
-          heap.push_back(SatEntry{++s.sat_count[q],
-                                  static_cast<std::uint32_t>(cg.degree(q)),
-                                  static_cast<std::uint32_t>(q)});
-          std::push_heap(heap.begin(), heap.end());
-        }
+        const std::uint32_t sat = s.sat_count[q]++;
+        const std::size_t rq = s.rank[q];
+        const std::uint64_t rank_bit = std::uint64_t{1} << (rq % 64);
+        s.levels[sat * words + rq / 64] &= ~rank_bit;
+        s.levels[(sat + 1) * words + rq / 64] |= rank_bit;
+        --s.level_size[sat];
+        ++s.level_size[sat + 1];
+        top = std::max(top, static_cast<std::size_t>(sat) + 1);
       }
     }
   }

@@ -35,8 +35,20 @@ Coloring greedy_coloring(const ConflictGraph& cg,
 /// First-fit greedy in natural order 0..n-1.
 Coloring greedy_coloring(const ConflictGraph& cg);
 
-/// DSATUR heuristic (Brélaz): repeatedly color the vertex with the highest
-/// color-saturation, breaking ties by degree then index.
+/// DSATUR heuristic (Brélaz). Pick-order contract: each step colors the
+/// uncolored vertex with the most distinct neighbor colors (saturation),
+/// ties to the higher degree, then to the lower index, with the lowest
+/// color none of its neighbors has. Batch bytes and the exact solver's
+/// upper bound depend on these exact picks.
+///
+/// No priority queue: vertices carry a static rank (degree descending,
+/// then index), and each saturation level 0..max_degree keeps a rank
+/// bitset, so a pick is the lowest rank in the highest non-empty level.
+/// One vertex bitset per color finds, a word at a time, the neighbors
+/// whose saturation a new color raises, and a vertex's color is the first
+/// color set it is not in. O(n * ceil(n / 64) + m) time for n vertices
+/// and m edges; the tables, (max_degree + 1) sets of n bits per level and
+/// per color, persist per thread and never outgrow the adjacency rows.
 Coloring dsatur_coloring(const ConflictGraph& cg);
 
 }  // namespace wdag::conflict

@@ -133,6 +133,46 @@ TEST(ColoringDifferentialTest, DsaturMatchesReferenceOnEveryFamily) {
   }
 }
 
+// The families above stay within one 64-bit word per row, rank level and
+// colour set, and use few colours. These graphs span several words:
+// random-dag hosts with more than 128 dipaths, and explicit-edge
+// G(200, p) graphs whose max degree is at least 64, where DSATUR uses
+// more than 64 colours at p = 0.9. An indexing slip past word 0 shows
+// here.
+TEST(ColoringDifferentialTest, DsaturMatchesReferenceAcrossWords) {
+  gen::WorkloadParams p;
+  p.size = 60;
+  p.density = 0.15;
+  for (const std::size_t paths : {300, 350, 400}) {
+    p.paths = paths;
+    Xoshiro256 rng(0x3D5A7 + paths);
+    for (int round = 0; round < 3; ++round) {
+      const gen::Instance inst = gen::workload_instance("random-dag", p, rng);
+      const ConflictGraph cg(inst.family);
+      EXPECT_GT(cg.size(), 128u) << "paths=" << paths << " round=" << round;
+      EXPECT_EQ(conflict::dsatur_coloring(cg), reference_dsatur(cg))
+          << "paths=" << paths << " round=" << round;
+    }
+  }
+
+  for (const double density : {0.5, 0.9}) {
+    Xoshiro256 rng(0x6200);
+    std::vector<std::pair<std::size_t, std::size_t>> edges;
+    for (std::size_t u = 0; u < 200; ++u) {
+      for (std::size_t v = u + 1; v < 200; ++v) {
+        if (rng.chance(density)) edges.emplace_back(u, v);
+      }
+    }
+    const ConflictGraph cg(200, edges);
+    EXPECT_GE(cg.max_degree(), 64u) << "density=" << density;
+    const Coloring c = conflict::dsatur_coloring(cg);
+    if (density > 0.8) {
+      EXPECT_GT(conflict::num_colors(c), 64u);
+    }
+    EXPECT_EQ(c, reference_dsatur(cg)) << "density=" << density;
+  }
+}
+
 TEST(ColoringDifferentialTest, GreedyMatchesReferenceOnEveryFamily) {
   const gen::WorkloadParams p = small_params();
   for (const std::string& name : gen::workload_names()) {
