@@ -1,14 +1,14 @@
-// Batch-solve throughput harness: the interleaved A/B matrix the perf
-// regression gate watches.
+// Batch-solve throughput harness: the matrix the perf regression gate
+// watches.
 //
-// The table pass measures {fixed, stealing} x {uniform, skewed-family,
-// exact-heavy} x threads {1, 4, ncpu} — schedulers interleaved within a
-// cell (fixed rep, stealing rep, fixed rep, ...; best-of-N per arm) so
-// machine drift hits both arms equally — and emits one consolidated
-// BENCH_batch.json-compatible line (`{"bench":"batch_throughput",
-// "rows":[...]}`). CI extracts that record and scripts/compare_bench.py
-// fails the push when any cell regresses >15% against the committed
-// baseline (bench/baselines/BENCH_batch.json).
+// The table pass measures {uniform, skewed-family, exact-heavy} x
+// threads {1, 4, ncpu} on the one batch schedule (best of kReps runs per
+// cell) and emits one consolidated BENCH_batch.json-compatible line
+// (`{"bench":"batch_throughput","rows":[...]}`). Every row keeps
+// "schedule":"fixed", the key the committed baseline was recorded under.
+// CI extracts that record and scripts/compare_bench.py fails the push
+// when any cell regresses >15% against the committed baseline
+// (bench/baselines/BENCH_batch.json).
 //
 // The three workload regimes deliberately span the dispatch spectrum
 // (the IPC-benchmark lesson in PAPERS.md — perf claims need diverse,
@@ -17,10 +17,11 @@
 //                 (its ~20% exact-certified gadgets run in ~0.1ms);
 //   skewed-family >=20% exact-dispatched instances: tiny trees plus
 //                 scattered odd-cycle gadgets, ending in a contiguous run
-//                 of ~12ms Wagner/havet instances (the shape of a
-//                 sorted-by-size sweep) — one fixed-partition chunk of
-//                 those is a multi-hundred-ms straggler that idles every
-//                 other worker, exactly what stealing rebalances;
+//                 of Wagner/havet h=3 instances (the shape of a
+//                 sorted-by-size sweep). It was built around ~12ms
+//                 stragglers; since the exact search learned to decide,
+//                 a havet h=3 solve takes ~0.08ms, so the cell holds no
+//                 straggler now;
 //   exact-heavy   havet h=2 instances only: every solve is an exact
 //                 branch-and-bound certification.
 //
@@ -48,7 +49,6 @@ namespace {
 using namespace wdag;
 using core::BatchOptions;
 using core::BatchReport;
-using core::Schedule;
 using gen::Instance;
 using util::Xoshiro256;
 
@@ -102,8 +102,7 @@ Instance uniform_instance(Xoshiro256& rng, std::size_t) {
 Instance skewed_family_instance(Xoshiro256& rng, std::size_t index) {
   gen::WorkloadParams params;
   if (index >= kSkewedCount - kSkewedHeavyTail) {
-    // ~12ms exact-certified Wagner instances (Theorem 7 family): one
-    // 16-instance fixed chunk of these is a ~200ms straggler.
+    // Exact-certified Wagner instances (Theorem 7 family), ~0.08ms each.
     params.h = 3;
     return gen::workload_instance("havet", params, rng);
   }
@@ -138,8 +137,7 @@ const std::vector<Workload>& workloads() {
   return w;
 }
 
-BatchReport run_cell(api::Engine& engine, const Workload& workload,
-                     Schedule schedule) {
+BatchReport run_cell(api::Engine& engine, const Workload& workload) {
   api::BatchRequest request;
   request.generate = [&workload](Xoshiro256& rng, std::size_t i) {
     Instance inst = workload.generate(rng, i);
@@ -148,7 +146,6 @@ BatchReport run_cell(api::Engine& engine, const Workload& workload,
   };
   request.count = workload.count;
   request.options.seed = kSeed;
-  request.options.schedule = schedule;
   request.options.keep_entries = false;  // throughput mode
   return engine.run_batch(request);
 }
@@ -166,8 +163,8 @@ void print_table() {
     if (!seen) threads_list.push_back(t);
   }
 
-  util::Table t("batch A/B matrix (best of " + std::to_string(kReps) +
-                    " interleaved reps per cell)",
+  util::Table t("batch matrix (best of " + std::to_string(kReps) +
+                    " reps per cell)",
                 {"workload", "schedule", "threads", "count", "chunk",
                  "inst_per_s", "p99_ms", "exact_share"});
   for (const std::size_t threads : threads_list) {
@@ -175,30 +172,22 @@ void print_table() {
     engine_options.threads = threads;
     api::Engine engine(engine_options);
     for (const Workload& workload : workloads()) {
-      BatchReport best[2];  // [fixed, stealing]
+      BatchReport best;
       for (int rep = 0; rep < kReps; ++rep) {
-        for (const Schedule schedule :
-             {Schedule::kFixed, Schedule::kStealing}) {
-          BatchReport report = run_cell(engine, workload, schedule);
-          const std::size_t arm = schedule == Schedule::kFixed ? 0 : 1;
-          if (report.instances_per_second() >
-              best[arm].instances_per_second()) {
-            best[arm] = std::move(report);
-          }
+        BatchReport report = run_cell(engine, workload);
+        if (report.instances_per_second() > best.instances_per_second()) {
+          best = std::move(report);
         }
       }
-      for (const BatchReport& report : best) {
-        const double solved = static_cast<double>(report.instance_count);
-        t.add_row({workload.name,
-                   std::string(core::schedule_name(report.schedule)),
-                   static_cast<long long>(report.threads_used),
-                   static_cast<long long>(report.instance_count),
-                   static_cast<long long>(report.chunk_size),
-                   report.instances_per_second(), report.latency.p99,
-                   solved == 0 ? 0.0
-                               : static_cast<double>(report.count("exact")) /
-                                     solved});
-      }
+      const double solved = static_cast<double>(best.instance_count);
+      t.add_row({workload.name, std::string("fixed"),
+                 static_cast<long long>(best.threads_used),
+                 static_cast<long long>(best.instance_count),
+                 static_cast<long long>(best.chunk_size),
+                 best.instances_per_second(), best.latency.p99,
+                 solved == 0 ? 0.0
+                             : static_cast<double>(best.count("exact")) /
+                                   solved});
     }
   }
   bench::emit(t);
@@ -206,11 +195,10 @@ void print_table() {
 }
 
 BatchReport run_batch(const std::string& workload, std::size_t count,
-                      std::size_t threads, Schedule schedule) {
+                      std::size_t threads) {
   BatchOptions options;
   options.threads = threads;
   options.seed = kSeed;
-  options.schedule = schedule;
   const gen::WorkloadParams params = uniform_params();
   return core::solve_generated_batch(
       count,
@@ -222,25 +210,15 @@ BatchReport run_batch(const std::string& workload, std::size_t count,
 
 void BM_BatchSolve(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const Schedule schedule =
-      state.range(1) == 0 ? Schedule::kFixed : Schedule::kStealing;
   std::size_t instances = 0;
   for (auto _ : state) {
-    const BatchReport report =
-        run_batch("random-upp", 128, threads, schedule);
+    const BatchReport report = run_batch("random-upp", 128, threads);
     benchmark::DoNotOptimize(report.total_wavelengths);
     instances += report.instance_count;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(instances));
 }
-BENCHMARK(BM_BatchSolve)
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->UseRealTime();
+BENCHMARK(BM_BatchSolve)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_BatchSolvePrebuilt(benchmark::State& state) {
   // Isolates solver throughput from generation: instances built once.

@@ -132,7 +132,7 @@ core::BatchReport Engine::run_batch(const BatchRequest& request) {
 
   // The engine pool runs the batch; options.threads is advisory only.
   // Unless the request brings its own cost model, the engine's
-  // persistent one sizes stealing chunks — so sweeps and repeated
+  // persistent one sizes unpinned chunks — so sweeps and repeated
   // batches keep refining the same per-strategy estimates.
   core::BatchOptions batch_options = request.options;
   if (batch_options.cost_model == nullptr) {

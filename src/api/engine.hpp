@@ -74,10 +74,10 @@ class Engine {
   /// Fans a workload out over the engine pool with deterministic
   /// per-instance seeding; per-instance failures are captured into
   /// entries, not thrown. Rows reach request.sinks in strict instance
-  /// order. BatchRequest::options.schedule picks the fixed or the
-  /// cost-aware work-stealing scheduler; the engine's persistent cost
-  /// model (refined by every batch this engine runs) sizes the stealing
-  /// chunks unless the request wires in its own.
+  /// order. Unless BatchRequest::options.chunk pins the chunk size, the
+  /// engine's persistent cost model (refined by every batch this engine
+  /// runs) sizes the chunks, or the request's own model when it wires
+  /// one in.
   [[nodiscard]] core::BatchReport run_batch(const BatchRequest& request);
 
   /// Runs ONE shard of `request`: the global index set the plan layout
@@ -87,7 +87,7 @@ class Engine {
   /// index, sink rows. Reassembling the K shards' sink outputs (see
   /// core::merge_shard_csv / merge_shard_json) therefore reproduces the
   /// unsharded run_batch bytes exactly, whatever thread count or
-  /// schedule each shard picked. `request` describes the FULL batch
+  /// chunk size each shard picked. `request` describes the FULL batch
   /// (global count / full families span); sinks attached to it receive
   /// only this shard's rows. Striped layouts require a generated
   /// workload (an explicit families span cannot be strided).
@@ -95,7 +95,7 @@ class Engine {
       const BatchRequest& request, std::size_t shard, std::size_t shards,
       core::ShardLayout layout = core::ShardLayout::kContiguous);
 
-  /// The engine's persistent solve-cost model: consulted for stealing
+  /// The engine's persistent solve-cost model: consulted for unpinned
   /// chunk sizes and updated with every batch's observed costs.
   [[nodiscard]] const core::CostModel& cost_model() const {
     return cost_model_;

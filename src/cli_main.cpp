@@ -34,9 +34,9 @@
 //
 // Every generated workload is a deterministic function of --seed: the batch
 // engine seeds each instance from (seed, GLOBAL index), so identical seeds
-// give identical CSV output no matter how many threads run the batch, which
-// scheduler (--schedule fixed|stealing) distributes the work, or how many
-// shards the index range was split into.
+// give identical CSV output no matter how many threads run the batch, how
+// the range is cut into chunks (--chunk), or how many shards the index
+// range was split into.
 
 #include <chrono>
 #include <csignal>
@@ -67,7 +67,7 @@ using wdag::core::SolveOptions;
 using wdag::util::Cli;
 
 int usage(std::ostream& os) {
-  os << "wdag — wavelength assignment on DAGs (Bermond & Coudert)\n"
+  os << "wdag — wavelength assignment on DAGs (Bermond & Cosnard)\n"
         "\n"
         "usage:\n"
         "  wdag solve --gen NAME [generator flags] [solver flags]\n"
@@ -79,7 +79,7 @@ int usage(std::ostream& os) {
         "  wdag shard plan --gen NAME --count N --shards K --out PREFIX\n"
         "             [--layout L] [--seed S] [generator flags] [solver flags]\n"
         "  wdag shard run --manifest FILE.json --out PATH|- [--threads T]\n"
-        "             [--schedule S] [--json PATH] [--quiet]\n"
+        "             [--chunk C] [--json PATH] [--quiet]\n"
         "  wdag shard merge --out PATH|- SHARD.csv [SHARD.csv ...]\n"
         "  wdag drive --gen NAME --count N --shards K --work-dir DIR\n"
         "             [--layout L] [--workers W|HOST:PORT,...]\n"
@@ -88,7 +88,7 @@ int usage(std::ostream& os) {
         "             [--events PATH] [--progress] [--out PATH|-]\n"
         "             [--connect-timeout-ms MS] [--probe-interval SEC]\n"
         "             [--probe-timeout-ms MS] [--probe-miss-budget N]\n"
-        "  wdag worker [--host H] [--port P] [--threads T] [--schedule S]\n"
+        "  wdag worker [--host H] [--port P] [--threads T]\n"
         "             [--idle-timeout-ms MS] [--port-file PATH]\n"
         "  wdag serve [--host H] [--port P] [--queue N] [--deadline-ms D]\n"
         "             [--threads T] [--port-file PATH]\n"
@@ -140,16 +140,14 @@ int usage(std::ostream& os) {
         "  --count N      instances in the batch (default 100)\n"
         "  --threads T    worker threads; 0 = hardware concurrency\n"
         "                 (default 0, negatives rejected)\n"
-        "  --schedule S   fixed | stealing (default fixed): fixed is the\n"
-        "                 static contiguous partition; stealing rebalances\n"
-        "                 skewed workloads over per-worker deques with\n"
-        "                 cost-aware chunk sizing. Output bytes are\n"
-        "                 identical either way for a fixed seed\n"
-        "  --chunk C      instances per chunk of the fixed schedule\n"
-        "                 (default 16; seeding is per instance, so this\n"
-        "                 never changes results)\n"
-        "  --min-chunk A  lower bound on the stealing chunk size (default 1)\n"
-        "  --max-chunk B  upper bound on the stealing chunk size (default 256)\n"
+        "  --chunk C      instances per chunk, pinned; 0 = sized by the\n"
+        "                 cost model from observed solve costs (default 0;\n"
+        "                 seeding is per instance, so this never changes\n"
+        "                 results)\n"
+        "  --schedule S, --min-chunk A, --max-chunk B\n"
+        "                 deprecated, no effect (there is one schedule and\n"
+        "                 --chunk pins its size): each prints one warning on\n"
+        "                 stderr; removed in 0.5.0\n"
         "  --seed S       base seed (default 1)\n"
         "  --csv PATH     write per-instance rows as CSV ('-' = stdout);\n"
         "                 deterministic for a fixed seed\n"
@@ -176,7 +174,7 @@ int usage(std::ostream& os) {
         "                 run/merge/drive: output CSV path ('-' = stdout)\n"
         "  --manifest F   the shard manifest to execute (run); the workload,\n"
         "                 seed and index range come from the manifest —\n"
-        "                 only execution knobs (--threads, --schedule, ...)\n"
+        "                 only execution knobs (--threads, --chunk, ...)\n"
         "                 are read from the command line\n"
         "  --quiet        suppress the shard run summary line on stdout\n"
         "                 (the drive workers pass this)\n"
@@ -235,7 +233,7 @@ int usage(std::ostream& os) {
         "  --wdag-bin P   worker binary to execute (default: this binary)\n"
         "\n"
         "worker flags (a long-lived remote executor of drive attempts;\n"
-        "shares --host/--port/--port-file/--threads/--schedule semantics):\n"
+        "shares --host/--port/--port-file/--threads semantics):\n"
         "  --idle-timeout-ms MS   close a session after MS without a\n"
         "                 complete request line (worker and serve;\n"
         "                 default 0 = never)\n"
@@ -332,24 +330,10 @@ CommonArgs read_common_args(const Cli& cli, std::size_t default_count) {
                "--threads must be >= 0 (0 = hardware concurrency), got " +
                    std::to_string(threads));
   a.batch.threads = static_cast<std::size_t>(threads);
-  const std::int64_t chunk = cli.get_int("chunk", 16);
-  WDAG_REQUIRE(chunk >= 1,
-               "--chunk must be >= 1, got " + std::to_string(chunk));
+  const std::int64_t chunk = cli.get_int("chunk", 0);
+  WDAG_REQUIRE(chunk >= 0, "--chunk must be >= 0 (0 = sized by the cost "
+                           "model), got " + std::to_string(chunk));
   a.batch.chunk = static_cast<std::size_t>(chunk);
-  const std::string schedule = cli.get("schedule", "fixed");
-  if (schedule == "stealing") {
-    a.batch.schedule = wdag::core::Schedule::kStealing;
-  } else {
-    WDAG_REQUIRE(schedule == "fixed",
-                 "--schedule must be 'fixed' or 'stealing', got '" +
-                     schedule + "'");
-  }
-  const std::int64_t min_chunk = cli.get_int("min-chunk", 1);
-  const std::int64_t max_chunk = cli.get_int("max-chunk", 256);
-  WDAG_REQUIRE(min_chunk >= 1 && max_chunk >= min_chunk,
-               "--min-chunk/--max-chunk need 1 <= min <= max");
-  a.batch.min_chunk = static_cast<std::size_t>(min_chunk);
-  a.batch.max_chunk = static_cast<std::size_t>(max_chunk);
   a.batch.seed = a.gen.seed;
   a.batch.keep_colorings = cli.has("keep-colorings");
   if (cli.has("stream-csv")) {
@@ -842,7 +826,6 @@ int cmd_drive(const Cli& cli) {
   options.fail_fast = static_cast<std::size_t>(fail_fast);
   options.resume = cli.has("resume");
   options.worker_threads = args.batch.threads;
-  options.worker_schedule = args.batch.schedule;
   options.keep_outputs = cli.has("keep-work");
 
   options.work_dir = cli.get("work-dir", "");
@@ -934,14 +917,6 @@ int cmd_worker(const Cli& cli) {
                "--threads must be >= 0 (0 = hardware concurrency), got " +
                    std::to_string(threads));
   options.engine_threads = static_cast<std::size_t>(threads);
-  const std::string schedule = cli.get("schedule", "fixed");
-  if (schedule == "stealing") {
-    options.schedule = wdag::core::Schedule::kStealing;
-  } else {
-    WDAG_REQUIRE(schedule == "fixed",
-                 "--schedule must be 'fixed' or 'stealing', got '" +
-                     schedule + "'");
-  }
   options.idle_timeout_ms = cli.get_double("idle-timeout-ms", 0.0);
   WDAG_REQUIRE(options.idle_timeout_ms >= 0.0,
                "--idle-timeout-ms must be >= 0 (0 = never)");
@@ -1137,6 +1112,15 @@ int main(int argc, char** argv) {
     if (cli.has("version")) {
       std::cout << wdag::util::build_info_line() << "\n";
       return 0;
+    }
+    // Deprecated in 0.4.1 (one batch schedule): accepted with no effect.
+    for (const char* flag : {"schedule", "min-chunk", "max-chunk"}) {
+      if (cli.has(flag)) {
+        std::cerr << "wdag: --" << flag
+                  << " is deprecated and has no effect (one batch "
+                     "schedule; --chunk pins its size); it is removed in "
+                     "0.5.0\n";
+      }
     }
     if (cli.positional().empty()) return usage(std::cerr);
     const std::string& command = cli.positional().front();

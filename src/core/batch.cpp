@@ -1,7 +1,6 @@
 #include "core/batch.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -17,7 +16,6 @@
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
-#include "util/work_stealing.hpp"
 
 namespace wdag::core {
 
@@ -26,7 +24,7 @@ namespace {
 /// Mixes the batch seed with an instance index into an independent RNG
 /// stream. Keyed by instance (not chunk, not worker), so the stream — and
 /// therefore every generated instance — is identical whatever the chunk
-/// geometry or scheduler.
+/// geometry or the worker that runs it.
 util::Xoshiro256 instance_rng(std::uint64_t seed, std::size_t index) {
   util::SplitMix64 mix(seed ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
   return util::Xoshiro256(mix.next());
@@ -68,11 +66,12 @@ BatchEntry row_copy(const BatchEntry& e) {
 /// kMaxPendingChunks are already buffered blocks until the straggler
 /// drains, so a streaming (keep_entries = false) million-instance batch
 /// stays at bounded memory even when one early chunk is orders of
-/// magnitude slower than the rest (the skewed workloads the stealing
-/// scheduler targets). Deadlock-free: both schedulers execute chunks in
-/// ascending order per worker, so the next-undelivered chunk is always
-/// running (or about to run) on some worker that cannot itself be blocked
-/// here — its submit is in order and is never made to wait.
+/// magnitude slower than the rest. Deadlock-free: workers claim chunk
+/// ordinals from one counter in ascending order
+/// (util::parallel_fixed_chunks), so a blocked submitter's chunk was
+/// claimed after the next-undelivered one. That chunk is therefore
+/// running on some other worker, which cannot itself be blocked here:
+/// its submit is in order and is never made to wait.
 class InOrderDispatcher {
  public:
   /// Out-of-order chunks buffered before submitters are backpressured.
@@ -108,7 +107,7 @@ class InOrderDispatcher {
       // chunk, so without poisoning every later submitter would block
       // forever once the window fills. Fail the whole stream instead.
       poison_locked();
-      throw;  // recorded as the chunk's error by the scheduler
+      throw;  // recorded as the chunk's error by parallel_fixed_chunks
     }
     drained_.notify_all();
   }
@@ -270,9 +269,12 @@ LatencyStats latency_stats(std::vector<double>& samples) {
   return stats;
 }
 
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 std::string_view schedule_name(Schedule schedule) {
   return schedule == Schedule::kStealing ? "stealing" : "fixed";
 }
+#pragma GCC diagnostic pop
 
 double BatchReport::instances_per_second() const {
   if (instance_count == 0 || wall_seconds <= 0.0) return 0.0;
@@ -332,7 +334,7 @@ std::string BatchReport::to_json() const {
   os << "\"instances\":" << instance_count;
   os << ",\"seed\":" << seed;
   os << ",\"threads\":" << threads_used;
-  os << ",\"schedule\":\"" << schedule_name(schedule) << "\"";
+  os << ",\"schedule\":\"fixed\"";  // one schedule; key kept until 0.5.0
   os << ",\"chunk\":" << chunk_size;
   os << ",\"failures\":" << failure_count;
   os << ",\"optimal\":" << optimal_count;
@@ -363,10 +365,6 @@ BatchReport run_batch_items(std::size_t count, const BatchItemSolver& item,
                             std::span<api::ResultSink* const> sinks,
                             util::ThreadPool* pool,
                             std::span<SolveScratch> arenas) {
-  WDAG_REQUIRE(options.chunk >= 1, "BatchOptions::chunk must be >= 1");
-  WDAG_REQUIRE(options.min_chunk >= 1 &&
-                   options.min_chunk <= options.max_chunk,
-               "BatchOptions: need 1 <= min_chunk <= max_chunk");
   WDAG_REQUIRE(item != nullptr, "run_batch_items: item solver must be set");
   WDAG_REQUIRE(options.index_stride >= 1,
                "BatchOptions::index_stride must be >= 1");
@@ -397,34 +395,37 @@ BatchReport run_batch_items(std::size_t count, const BatchItemSolver& item,
   WDAG_REQUIRE(arenas.empty() || arenas.size() >= pool->size(),
                "run_batch_items: arenas must cover every pool worker");
   report.threads_used = pool->size();
-  report.schedule = options.schedule;
-  const bool stealing = options.schedule == Schedule::kStealing;
   CostModel* const model = options.cost_model;
 
-  // The effective chunk size: the fixed schedule partitions exactly as
-  // asked; the stealing schedule sizes chunks from the cost model so a
-  // chunk holds ~constant expected work (a cold model falls back to the
-  // built-in priors). Either way the partition is contiguous and
-  // ascending, so the reorder window below works unchanged — and since
-  // seeding is per instance, the choice never alters output bytes.
+  // The effective chunk size: a pinned one as asked, otherwise sized by
+  // the cost model so a chunk holds ~constant expected work (a cold
+  // model falls back to the built-in priors). Either way the partition
+  // is contiguous and ascending, and since seeding is per instance the
+  // choice never alters output bytes.
   std::size_t chunk = options.chunk;
-  if (stealing) {
+  if (chunk == 0) {
     const CostModel cold;
     chunk = (model != nullptr ? *model : cold)
-                .suggest_chunk(count, pool->size(), options.min_chunk,
-                               options.max_chunk);
+                .suggest_chunk(count, pool->size(), 1, 256);
   }
   report.chunk_size = count == 0 ? 0 : chunk;
+  report.worker_chunks.assign(pool->size(), 0);
 
   const auto chunk_body = [&](std::size_t chunk_index, std::size_t lo,
                               std::size_t hi) {
+    const int worker = util::ThreadPool::current_worker_index();
+    // Chunks run on this pool's workers only, one at a time per worker,
+    // so each worker_chunks slot has a single writer.
+    if (worker >= 0 &&
+        static_cast<std::size_t>(worker) < report.worker_chunks.size()) {
+      ++report.worker_chunks[static_cast<std::size_t>(worker)];
+    }
     // The per-worker scratch arena: either the caller's (indexed by
     // pool worker, e.g. api::Engine's persistent arenas) or a
     // thread-local fallback — pool threads persist across chunks, so
     // every instance this worker touches reuses the same
     // conflict-graph rows and entry buffers either way.
     SolveScratch* scratch;
-    const int worker = util::ThreadPool::current_worker_index();
     if (!arenas.empty() && worker >= 0 &&
         static_cast<std::size_t>(worker) < arenas.size()) {
       scratch = &arenas[static_cast<std::size_t>(worker)];
@@ -468,38 +469,11 @@ BatchReport run_batch_items(std::size_t count, const BatchItemSolver& item,
       // the bounded window so waiting submitters fail fast instead of
       // blocking on a chunk that is not coming.
       if (sinking) dispatcher.poison();
-      throw;  // the scheduler records it as the batch's first error
+      throw;  // parallel_fixed_chunks rethrows the batch's first error
     }
   };
 
-  if (stealing) {
-    std::vector<util::ChunkRange> ranges;
-    ranges.reserve(count / chunk + 1);
-    for (std::size_t lo = 0; lo < count; lo += chunk) {
-      ranges.push_back({ranges.size(), lo, std::min(count, lo + chunk)});
-    }
-    util::parallel_stealing_chunks(*pool, ranges, chunk_body,
-                                   &report.worker_chunks);
-  } else {
-    // Per-pool-worker chunk counts, folded into the report for parity
-    // with the stealing scheduler's per-driver counts.
-    std::vector<std::atomic<std::size_t>> executed(pool->size());
-    util::parallel_fixed_chunks(
-        *pool, 0, count, chunk,
-        [&](std::size_t chunk_index, std::size_t lo, std::size_t hi) {
-          const int worker = util::ThreadPool::current_worker_index();
-          if (worker >= 0 &&
-              static_cast<std::size_t>(worker) < executed.size()) {
-            executed[static_cast<std::size_t>(worker)].fetch_add(
-                1, std::memory_order_relaxed);
-          }
-          chunk_body(chunk_index, lo, hi);
-        });
-    report.worker_chunks.reserve(executed.size());
-    for (const auto& c : executed) {
-      report.worker_chunks.push_back(c.load(std::memory_order_relaxed));
-    }
-  }
+  util::parallel_fixed_chunks(*pool, 0, count, chunk, chunk_body);
   dispatcher.finish();
 
   if (keep) {

@@ -7,20 +7,18 @@
 // (options.seed, instance index) via splitmix64, and results are written
 // into per-instance slots — so a batch's report is identical for
 // identical seeds no matter how many threads run it, how the range is
-// chunked, which scheduler (fixed or stealing) distributes the chunks,
-// or how the OS schedules them. Result sinks (api/sink.hpp) receive rows
-// in strict instance order through a chunk-ordinal reorder window, so
-// streamed bytes are invariant across all of the above too.
+// chunked, or how the OS schedules the chunks. Result sinks
+// (api/sink.hpp) receive rows in strict instance order through a
+// chunk-ordinal reorder window, so streamed bytes are invariant across
+// all of the above too.
 //
-// Two schedulers share that contract (BatchOptions::schedule):
-//   kFixed     static contiguous partition into options.chunk-sized
-//              chunks (util::parallel_fixed_chunks) — zero scheduling
-//              overhead, but a straggler chunk idles the other workers.
-//   kStealing  per-worker Chase-Lev deques with random stealing
-//              (util/work_stealing.hpp); chunk size is cost-aware, from
-//              a per-strategy EWMA of observed solve micros
-//              (core/cost_model.hpp), so exact-solver stragglers split
-//              fine while cheap Theorem 1 instances batch coarse.
+// One schedule: the range is cut into contiguous chunks, and the pool's
+// workers pull the next chunk ordinal from one shared counter
+// (util::parallel_fixed_chunks), so an idle worker always takes the
+// lowest unclaimed chunk. The chunk size is BatchOptions::chunk when the
+// caller pins it; otherwise the cost model (core/cost_model.hpp) sizes
+// it from the per-strategy solve micros it has observed, so exact-solver
+// stragglers split fine while cheap Theorem 1 instances batch coarse.
 //
 // run_batch_items is the generalized driver underneath both the legacy
 // entry points below and api::Engine::run_batch; per-instance stats are
@@ -52,13 +50,19 @@ namespace wdag::core {
 
 class CostModel;
 
-/// How the batch driver distributes work chunks over the pool workers.
-enum class Schedule {
-  kFixed,     ///< static contiguous partition (chunk-sized, no rebalance)
-  kStealing,  ///< per-worker deques + random stealing, cost-aware chunks
+// Deprecated in 0.4.1, removed in 0.5.0: the schedule spellings select
+// nothing. The pragmas keep the declarations below that still name them
+// (and their implicit members) from warning in every includer.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+
+enum class [[deprecated("wdag has one batch schedule")]] Schedule {
+  kFixed,
+  kStealing,
 };
 
-/// Display name of a schedule: "fixed" / "stealing".
+/// "fixed" / "stealing", the names of the old schedules.
+[[deprecated("wdag has one batch schedule")]]
 std::string_view schedule_name(Schedule schedule);
 
 /// Knobs of the batch driver (solver knobs live in SolveOptions).
@@ -66,11 +70,12 @@ struct BatchOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   /// Ignored when the caller supplies its own pool (api::Engine does).
   std::size_t threads = 0;
-  /// Instances per work chunk under Schedule::kFixed. Must be >= 1.
-  /// (Seeding is per instance, so the chunk size never changes output.)
-  std::size_t chunk = 16;
+  /// Instances per work chunk. 0 (the default) lets the cost model size
+  /// it (CostModel::suggest_chunk over [1, 256]); any other value pins
+  /// it. Seeding is per instance, so the chunk size never changes output.
+  std::size_t chunk = 0;
   /// Base seed; instance i works with splitmix64(seed, i)-derived
-  /// randomness, whatever the chunking or scheduler.
+  /// randomness, whatever the chunking.
   std::uint64_t seed = 1;
   /// GLOBAL index of this run's first instance (shard support,
   /// core/shard.hpp). Instance i of the run derives its RNG from
@@ -84,17 +89,16 @@ struct BatchOptions {
   /// index_base = s, index_stride = K to solve {s, s + K, s + 2K, ...}.
   /// Must be >= 1.
   std::size_t index_stride = 1;
-  /// Chunk distribution policy; see Schedule.
+  [[deprecated("no effect: wdag has one batch schedule")]]
   Schedule schedule = Schedule::kFixed;
-  /// Bounds on the cost-aware chunk size of Schedule::kStealing (the
-  /// fixed schedule uses `chunk` exactly). min_chunk must be >= 1 and
-  /// <= max_chunk.
+  [[deprecated("no effect: pin the chunk size with `chunk`")]]
   std::size_t min_chunk = 1;
+  [[deprecated("no effect: pin the chunk size with `chunk`")]]
   std::size_t max_chunk = 256;
-  /// Cost model consulted for the stealing chunk size and fed with this
-  /// batch's observed per-instance costs (borrowed, not owned; may be
-  /// null — a cold model with the built-in priors sizes the chunks
-  /// then). api::Engine wires its own persistent model in here.
+  /// Cost model consulted for the chunk size when `chunk` is 0 and fed
+  /// with this batch's observed per-instance costs (borrowed, not owned;
+  /// may be null — a cold model with the built-in priors sizes the
+  /// chunks then). api::Engine wires its own persistent model in here.
   CostModel* cost_model = nullptr;
   /// Keep every instance's coloring in the report (memory-heavy; off by
   /// default so million-instance sweeps stay lean).
@@ -159,12 +163,11 @@ struct BatchReport {
   double wall_seconds = 0.0;            ///< end-to-end batch wall clock
   std::size_t threads_used = 0;
   std::uint64_t seed = 0;
-  Schedule schedule = Schedule::kFixed; ///< scheduler that ran the batch
+  [[deprecated("always kFixed: wdag has one batch schedule")]]
+  Schedule schedule = Schedule::kFixed;
   std::size_t chunk_size = 0;           ///< effective instances per chunk
-  /// Chunks executed per logical worker, sized threads_used (stealing:
-  /// per scheduler driver; fixed: per pool worker). Under stealing with
-  /// chunks >= workers every slot is >= 1 by construction — the
-  /// no-starvation property the scheduler tests pin.
+  /// Chunks executed per pool worker, sized threads_used; the slots sum
+  /// to the batch's chunk count.
   std::vector<std::size_t> worker_chunks;
 
   /// Instances solved per wall-clock second (0 for an empty batch).
@@ -190,10 +193,12 @@ struct BatchReport {
   [[nodiscard]] std::string to_json() const;
 };
 
+#pragma GCC diagnostic pop
+
 /// Per-instance callback of the generalized batch driver: fill `entry`
 /// for instance `index` (strategy, paths, load, wavelengths, optimal — or
 /// failed + error; never throw), drawing any randomness from `rng` (a
-/// fresh stream derived from (seed, index), identical on every schedule)
+/// fresh stream derived from (seed, index), whatever the chunking)
 /// and reusing `scratch` across the instances of a worker. `index` is
 /// GLOBAL (options.index_base + local position), so generator callbacks
 /// behave identically sharded and unsharded.
@@ -238,7 +243,7 @@ using InstanceGenerator =
 /// workers (instance i is built inside its chunk from its own
 /// index-derived RNG, keeping peak memory at one chunk per worker) and
 /// solves each immediately. Deterministic for a fixed seed regardless of
-/// thread count, chunking or scheduler.
+/// thread count or chunking.
 BatchReport solve_generated_batch(std::size_t count,
                                   const InstanceGenerator& generate,
                                   const SolveOptions& solve_options = {},

@@ -10,15 +10,16 @@ namespace {
 /// a fixed step of 1/kMaxWeight, so drifting workloads re-converge fast.
 constexpr double kMaxWeight = 32.0;
 
-/// Target expected work per stealing chunk, in micros. Small enough that
-/// one straggler chunk cannot idle the other workers for long, large
-/// enough to amortize deque traffic and the per-chunk sink hand-off.
+/// Target expected work per chunk, in micros. Small enough that one
+/// straggler chunk cannot idle the other workers for long, large enough
+/// to amortize the chunk claim and the per-chunk sink hand-off.
 constexpr double kTargetChunkMicros = 2000.0;
 
 /// Worst-case work one chunk may hold if it were filled entirely with the
 /// costliest observed strategy's instances — the straggler guard that
-/// keeps a mixed batch's heavy chunks stealable-around even though chunk
-/// sizing cannot know which index a straggler hides at.
+/// keeps a mixed batch's heavy chunks small enough for the other workers
+/// to move past, even though chunk sizing cannot know which index a
+/// straggler hides at.
 constexpr double kStragglerBudgetMicros = 4.0 * kTargetChunkMicros;
 
 /// Observation weight below which a cell is too thin to drive the
@@ -26,8 +27,8 @@ constexpr double kStragglerBudgetMicros = 4.0 * kTargetChunkMicros;
 /// model must not over-split on the exact prior alone).
 constexpr double kMinGuardWeight = 2.0;
 
-/// Minimum chunks per worker the stealing scheduler wants available, so
-/// thieves always find work behind a straggler.
+/// Minimum chunks per worker, so idle workers always find the next chunk
+/// behind a straggler.
 constexpr std::size_t kChunksPerWorker = 8;
 
 }  // namespace

@@ -1,6 +1,6 @@
 #pragma once
-// Per-strategy solve-cost model driving the stealing scheduler's
-// cost-aware chunk sizing (core/batch.hpp).
+// Per-strategy solve-cost model that sizes the batch engine's chunks
+// when the caller does not pin BatchOptions::chunk (core/batch.hpp).
 //
 // The batch engine feeds every solved instance's (strategy, family size,
 // micros) back into the model as an exponentially weighted moving average
@@ -57,8 +57,8 @@ class CostModel {
   /// instances stays bounded (~8ms) — chunk sizing cannot know which
   /// index hides a straggler, so heavy-strategy workloads split fine
   /// while cheap-only workloads batch coarse — keeps at least ~8 chunks
-  /// per worker for the stealing scheduler to balance with, and clamps
-  /// into [min_chunk, max_chunk].
+  /// per worker so idle workers find the next chunk behind a straggler,
+  /// and clamps into [min_chunk, max_chunk].
   [[nodiscard]] std::size_t suggest_chunk(std::size_t count,
                                           std::size_t workers,
                                           std::size_t min_chunk,

@@ -265,7 +265,6 @@ DriveReport drive(const ShardPlan& plan, const DriveOptions& options,
   local_config.wdag_binary = options.wdag_binary;
   local_config.slots = local_slots;
   local_config.worker_threads = options.worker_threads;
-  local_config.schedule = options.worker_schedule;
   auto local_owned = std::make_unique<LocalTransport>(local_config);
   LocalTransport* local = local_owned.get();
   transports.push_back(std::move(local_owned));

@@ -1,6 +1,6 @@
 #pragma once
 // Fault-tolerant execution of a full ShardPlan — the `wdag drive` engine
-// (ROADMAP: "Distributed shard driver").
+// (docs/ARCHITECTURE.md, "The drive loop").
 //
 // drive() runs every shard of a plan through a pool of attempt slots
 // behind the WorkerTransport abstraction (core/transport.hpp): local
@@ -90,6 +90,11 @@ inline constexpr std::string_view kDriveJournalFile = "drive.journal";
 /// Version of the journal format; readers reject any other version.
 inline constexpr int kDriveJournalVersion = 1;
 
+// Keeps DriveOptions' implicit members, which initialize the deprecated
+// worker_schedule, from warning in every includer.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+
 /// Knobs of the drive loop.
 struct DriveOptions {
   /// Concurrent LOCAL worker subprocesses. 0 = min(shards, hardware
@@ -134,7 +139,7 @@ struct DriveOptions {
   std::string work_dir;
   /// --threads forwarded to every worker (0 = worker default).
   std::size_t worker_threads = 0;
-  /// --schedule forwarded to every worker.
+  [[deprecated("no effect: workers have no schedule to inherit")]]
   Schedule worker_schedule = Schedule::kFixed;
   /// Keep committed shard files and the journal after a successful drive
   /// (default: a SUCCESSFUL drive deletes everything it created; failed
@@ -152,6 +157,8 @@ struct DriveOptions {
   /// continues and a successful probe puts it back.
   std::size_t probe_miss_budget = 3;
 };
+
+#pragma GCC diagnostic pop
 
 /// One lifecycle event of a drive, also renderable as a JSON line.
 /// Kinds: "dispatch", "speculate" (a speculative dispatch), "exit" (an

@@ -37,7 +37,7 @@
 // files.
 //
 // The request hash covers exactly the inputs that determine output bytes
-// (family, params, count, seed, solver knobs, forced strategy). Schedule,
+// (family, params, count, seed, solver knobs, forced strategy). The
 // chunk geometry and thread count are deliberately excluded: the
 // determinism contract makes them byte-neutral, so every shard may pick
 // whatever execution knobs suit its machine.
@@ -84,7 +84,7 @@ struct ShardSpec {
 
 /// FNV-1a hash of the canonical serialization of `spec` — identical
 /// specs hash identically on every platform. Excludes execution knobs
-/// (threads/schedule/chunk) by construction: they never change bytes.
+/// (threads/chunk) by construction: they never change bytes.
 /// Throws wdag::InvalidArgument on non-finite params (a NaN density
 /// would canonicalize — and emit — as invalid JSON).
 [[nodiscard]] std::uint64_t shard_request_hash(const ShardSpec& spec);

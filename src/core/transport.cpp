@@ -136,8 +136,6 @@ std::unique_ptr<TransportAttempt> LocalTransport::start(
     argv.emplace_back("--threads");
     argv.emplace_back(std::to_string(config_.worker_threads));
   }
-  argv.emplace_back("--schedule");
-  argv.emplace_back(std::string(schedule_name(config_.schedule)));
   return std::make_unique<LocalAttempt>(
       util::Subprocess::spawn(argv, spec.subprocess));
 }

@@ -45,7 +45,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "util/subprocess.hpp"
 
 namespace wdag::core {
@@ -162,7 +161,6 @@ class LocalTransport final : public WorkerTransport {
     std::string wdag_binary;
     std::size_t slots = 1;
     std::size_t worker_threads = 0;  ///< --threads per child (0 = default)
-    Schedule schedule = Schedule::kFixed;
   };
 
   explicit LocalTransport(Config config);

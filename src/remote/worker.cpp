@@ -219,7 +219,6 @@ void ShardWorker::serve_manifest(util::TcpConn& conn,
     request.options.seed = manifest.spec.seed;
     request.options.index_base = 0;
     request.options.keep_entries = false;
-    request.options.schedule = options_.schedule;
     request.solve = manifest.spec.solve;
     if (!manifest.spec.force_strategy.empty()) {
       request.force_strategy = manifest.spec.force_strategy;

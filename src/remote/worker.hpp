@@ -76,8 +76,6 @@ struct ShardWorkerOptions {
   std::uint16_t port = 0;
   /// Engine pool threads; 0 = hardware concurrency.
   std::size_t engine_threads = 0;
-  /// Scheduler of every shard run (execution knob; never changes bytes).
-  core::Schedule schedule = core::Schedule::kFixed;
   /// Close a session after this long without a complete request line;
   /// 0 disables.
   double idle_timeout_ms = 0.0;

@@ -199,42 +199,38 @@ void parallel_fixed_chunks(
   WDAG_REQUIRE(chunk >= 1, "parallel_fixed_chunks: chunk must be >= 1");
   if (begin >= end) return;
 
-  std::atomic<std::size_t> remaining{0};
-  std::exception_ptr first_error;
-  std::mutex err_mu;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
   const std::size_t total = end - begin;
   // Overflow-proof ceil-div: `total + chunk - 1` wraps for huge chunk
-  // values (e.g. a size_t-cast -1), which would start `remaining` at 0
-  // and let the waiter unwind this frame while chunk tasks still
-  // reference it.
-  remaining.store(total / chunk + (total % chunk != 0 ? 1 : 0));
+  // values (e.g. a size_t-cast -1).
+  const std::size_t chunks = total / chunk + (total % chunk != 0 ? 1 : 0);
+  const std::size_t tasks = std::min(chunks, pool.size());
 
-  std::size_t chunk_index = 0;
-  for (std::size_t lo = begin; lo < end; lo += chunk, ++chunk_index) {
-    const std::size_t hi = std::min(end, lo + chunk);
-    pool.submit([&, chunk_index, lo, hi] {
-      try {
-        body(chunk_index, lo, hi);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!first_error) first_error = std::current_exception();
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  std::size_t running = tasks;
+  std::exception_ptr first_error;
+  for (std::size_t t = 0; t < tasks; ++t) {
+    pool.submit([&] {
+      for (std::size_t c = next++; c < chunks; c = next++) {
+        // c < chunks keeps c * chunk < total: no overflow.
+        const std::size_t lo = begin + c * chunk;
+        try {
+          body(c, lo, lo + std::min(chunk, end - lo));
+        } catch (...) {
+          const std::lock_guard<std::mutex> lk(mu);
+          if (!first_error) first_error = std::current_exception();
+        }
       }
-      // Same mutex-serialized completion protocol as parallel_for_chunks:
-      // the waiter cannot observe zero and unwind while a worker still
-      // holds the stack-allocated mutex/cv.
-      {
-        std::lock_guard<std::mutex> lk(done_mu);
-        if (remaining.fetch_sub(1) == 1) done_cv.notify_all();
-      }
+      // Notify under the lock: the waiter cannot see zero and unwind
+      // this frame while a worker still holds the mutex or the cv.
+      const std::lock_guard<std::mutex> lk(mu);
+      if (--running == 0) done_cv.notify_all();
     });
   }
 
-  {
-    std::unique_lock<std::mutex> lk(done_mu);
-    done_cv.wait(lk, [&] { return remaining.load() == 0; });
-  }
+  std::unique_lock<std::mutex> lk(mu);
+  done_cv.wait(lk, [&] { return running == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -4,9 +4,7 @@
 //
 // Design notes (per the HPC guides): parallelism is explicit and
 // deterministic — work is partitioned by index range and all randomness
-// is seeded by index, so results never depend on thread scheduling. The
-// dynamic counterpart (per-worker deques + stealing, same determinism
-// contract) lives in util/work_stealing.hpp.
+// is seeded by index, so results never depend on thread scheduling.
 
 #include <condition_variable>
 #include <cstddef>
@@ -26,9 +24,9 @@ namespace wdag::util {
 /// set, workers are pinned to CPUs at construction — "on" (or "1") pins
 /// worker i to CPU i mod ncpu; a comma-separated CPU list ("0,2,4") pins
 /// worker i to list[i mod len]. Unset, empty, "off" or "0" leaves the OS
-/// scheduler free. Pinning is best-effort and a no-op off Linux; it is
-/// the first step toward the ROADMAP's NUMA-aware chunking (a pinned
-/// worker keeps its SolveScratch arena hot in its own cache/node).
+/// scheduler free. Pinning is best-effort and a no-op off Linux; a
+/// pinned worker keeps its SolveScratch arena hot in its own cache/node
+/// (see for_each_worker and docs/ARCHITECTURE.md).
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means std::thread::hardware_concurrency()
@@ -105,8 +103,15 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
 /// partition depends only on `chunk` — never on the pool size — a
 /// chunk_index always covers the same indices no matter how many workers
 /// execute it, so index-seeded RNG streams stay reproducible across
-/// machines (see core/batch.cpp). Blocks until every
-/// chunk finishes; the first exception thrown by any chunk is rethrown.
+/// machines (see core/batch.cpp).
+///
+/// At most pool.size() tasks are queued, whatever the chunk count: each
+/// pulls the next chunk ordinal from one shared counter until none is
+/// left, so an idle worker always takes the lowest unclaimed chunk and
+/// ordinals are claimed in ascending order (the property the batch
+/// engine's reorder window relies on). Blocks until every chunk
+/// finishes; a throwing chunk does not stop the others, and the first
+/// exception is rethrown.
 void parallel_fixed_chunks(
     ThreadPool& pool, std::size_t begin, std::size_t end, std::size_t chunk,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);

@@ -24,6 +24,7 @@
 #include "api/request.hpp"
 #include "api/sink.hpp"
 #include "core/batch.hpp"
+#include "core/cost_model.hpp"
 #include "gen/family_gen.hpp"
 #include "gen/instance.hpp"
 #include "gen/random_dag.hpp"
@@ -236,13 +237,18 @@ TEST(BatchEdgeCaseTest, EmptyBatchAndEmptyFamiliesAreFine) {
   }
 }
 
-TEST(BatchOptionsTest, RejectsZeroChunk) {
+TEST(BatchOptionsTest, ZeroChunkIsSizedByTheCostModel) {
+  // chunk 0 (the default) is not an error: with no model wired in, a cold
+  // one with the built-in priors sizes the chunks.
   BatchOptions opts;
-  opts.chunk = 0;
+  opts.threads = 2;
+  ASSERT_EQ(opts.chunk, 0u);
   const auto g = test::chain(3);
-  std::vector<paths::DipathFamily> families(1, paths::DipathFamily(g));
-  EXPECT_THROW(core::solve_batch(families, SolveOptions{}, opts),
-               wdag::InvalidArgument);
+  std::vector<paths::DipathFamily> families(40, paths::DipathFamily(g));
+  const BatchReport report = core::solve_batch(families, SolveOptions{}, opts);
+  EXPECT_EQ(report.failure_count, 0u);
+  EXPECT_EQ(report.chunk_size,
+            core::CostModel().suggest_chunk(40, 2, 1, 256));
 }
 
 // ---------------------------------------------------------------------------

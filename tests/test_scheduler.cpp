@@ -1,11 +1,11 @@
 // Scheduler determinism and cost-model coverage for the batch engine
-// (core/batch.hpp + core/cost_model.hpp + util/work_stealing.hpp):
+// (core/batch.hpp + core/cost_model.hpp + util/thread_pool.hpp):
 //
-//   * stealing vs fixed produce byte-identical streamed CSV across seeds
-//     {42, 4242} x threads {1, 2, 8} — the scheduler moves where work
-//     runs, never what it computes;
-//   * on a skewed workload no logical worker starves (every worker
-//     records >= 1 chunk whenever chunks >= 2 x workers);
+//   * cost-model-sized and pinned chunks produce byte-identical streamed
+//     CSV across seeds {42, 4242} x threads {1, 2, 8} — the chunk
+//     geometry moves where work runs, never what it computes;
+//   * an unpinned batch takes the chunk size the cost model suggests, a
+//     pinned one wins, and the per-worker chunk counts add up;
 //   * the cost model's chunk suggestions respect their bounds and move
 //     the right way (cheap observations -> coarser chunks, exact-solver
 //     observations -> finer).
@@ -26,7 +26,6 @@
 #include "core/batch.hpp"
 #include "core/cost_model.hpp"
 #include "gen/instance.hpp"
-#include "gen/workloads.hpp"
 #include "helpers.hpp"
 #include "util/rng.hpp"
 
@@ -37,7 +36,6 @@ using core::BatchOptions;
 using core::BatchReport;
 using core::CostModel;
 using core::CostSample;
-using core::Schedule;
 using gen::Instance;
 using util::Xoshiro256;
 
@@ -46,34 +44,35 @@ Instance mixed_instance(Xoshiro256& rng, std::size_t index) {
   return test::mixed_regime_instance(rng, index);
 }
 
-/// Streams a generated batch through a CsvStreamSink and returns the bytes.
+/// Streams a generated batch through a CsvStreamSink and returns the bytes
+/// (`chunk` 0 = the cost model's size).
 std::string batch_csv(api::Engine& engine, std::uint64_t seed,
-                      Schedule schedule, std::size_t count) {
+                      std::size_t chunk, std::size_t count) {
   std::ostringstream out;
   api::CsvStreamSink sink(out);
   api::BatchRequest request;
   request.generate = mixed_instance;
   request.count = count;
   request.options.seed = seed;
-  request.options.chunk = 8;
-  request.options.schedule = schedule;
+  request.options.chunk = chunk;
   request.options.keep_entries = false;
   request.sinks = {&sink};
   const BatchReport report = engine.run_batch(request);
   EXPECT_EQ(report.instance_count, count);
-  EXPECT_EQ(report.schedule, schedule);
+  if (chunk != 0) {
+    EXPECT_EQ(report.chunk_size, chunk);
+  }
   return out.str();
 }
 
-TEST(SchedulerDeterminismTest, StealingMatchesFixedByteForByte) {
+TEST(SchedulerDeterminismTest, AutoChunkMatchesPinnedByteForByte) {
   constexpr std::size_t kCount = 120;
   for (const std::uint64_t seed : {std::uint64_t{42}, std::uint64_t{4242}}) {
-    // Reference: the fixed schedule on one thread.
+    // Reference: a pinned chunk of 16 on one thread.
     api::EngineOptions ref_options;
     ref_options.threads = 1;
     api::Engine reference_engine(ref_options);
-    const std::string want =
-        batch_csv(reference_engine, seed, Schedule::kFixed, kCount);
+    const std::string want = batch_csv(reference_engine, seed, 16, kCount);
     ASSERT_FALSE(want.empty());
 
     for (const std::size_t threads :
@@ -81,14 +80,16 @@ TEST(SchedulerDeterminismTest, StealingMatchesFixedByteForByte) {
       api::EngineOptions options;
       options.threads = threads;
       api::Engine engine(options);
-      EXPECT_EQ(batch_csv(engine, seed, Schedule::kFixed, kCount), want)
-          << "fixed seed=" << seed << " threads=" << threads;
-      EXPECT_EQ(batch_csv(engine, seed, Schedule::kStealing, kCount), want)
-          << "stealing seed=" << seed << " threads=" << threads;
-      // A second stealing run reuses the now-trained cost model (likely a
-      // different chunk size) — the bytes still cannot move.
-      EXPECT_EQ(batch_csv(engine, seed, Schedule::kStealing, kCount), want)
-          << "stealing(rerun) seed=" << seed << " threads=" << threads;
+      for (const std::size_t chunk :
+           {std::size_t{0}, std::size_t{1}, std::size_t{16}}) {
+        EXPECT_EQ(batch_csv(engine, seed, chunk, kCount), want)
+            << "chunk=" << chunk << " seed=" << seed
+            << " threads=" << threads;
+      }
+      // A rerun on the now-trained cost model (likely a different chunk
+      // size) — the bytes still cannot move.
+      EXPECT_EQ(batch_csv(engine, seed, 0, kCount), want)
+          << "auto(rerun) seed=" << seed << " threads=" << threads;
     }
   }
 }
@@ -117,71 +118,64 @@ TEST(SchedulerDeterminismTest, ChunkGeometryNeverChangesOutput) {
   }
 }
 
-TEST(SchedulerStarvationTest, AllWorkersRecordChunksOnSkewedWorkload) {
-  // A deliberately skewed mix: every 8th instance is a dense random DAG
-  // (DSATUR + exact certification territory), the rest are tiny trees.
-  const auto skewed = [](Xoshiro256& rng, std::size_t index) {
-    gen::WorkloadParams params;
-    if (index % 8 == 0) {
-      params.size = 28;
-      params.density = 0.3;
-      params.paths = 28;
-      return gen::workload_instance("random-dag", params, rng);
-    }
-    params.size = 12;
-    params.paths = 8;
-    return gen::workload_instance("tree", params, rng);
-  };
-
+TEST(SchedulerChunkTest, UnpinnedChunkFollowsTheCostModelAndPinnedWins) {
   api::EngineOptions options;
   options.threads = 4;
   api::Engine engine(options);
-
   api::BatchRequest request;
-  request.generate = skewed;
+  request.generate = mixed_instance;
   request.count = 96;
   request.options.seed = 4242;
-  request.options.schedule = Schedule::kStealing;
-  // Pin the cost-aware size so the chunk count (96 / 4 = 24 >= 2 x 4
-  // workers) is known to the assertion below.
-  request.options.min_chunk = 4;
-  request.options.max_chunk = 4;
-  const BatchReport report = engine.run_batch(request);
+  const auto check_chunks = [](const BatchReport& report) {
+    EXPECT_EQ(report.failure_count, 0u);
+    ASSERT_EQ(report.worker_chunks.size(), 4u);
+    std::size_t total = 0;
+    for (const std::size_t w : report.worker_chunks) total += w;
+    EXPECT_EQ(total, (96 + report.chunk_size - 1) / report.chunk_size);
+  };
 
-  EXPECT_EQ(report.failure_count, 0u);
-  EXPECT_EQ(report.chunk_size, 4u);
-  ASSERT_EQ(report.worker_chunks.size(), 4u);
-  std::size_t total_chunks = 0;
-  for (std::size_t w = 0; w < report.worker_chunks.size(); ++w) {
-    EXPECT_GE(report.worker_chunks[w], 1u) << "worker " << w << " starved";
-    total_chunks += report.worker_chunks[w];
+  // Unpinned, twice: on the cold model, then on the one the first batch
+  // trained, with the deprecated 0.4.1 knobs set (the old stealing
+  // schedule, bounds once rejected as inverted), which change nothing.
+  // Either way the batch takes the model's suggestion as it stood just
+  // before the batch.
+  for (int run = 0; run < 2; ++run) {
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+    if (run == 1) {
+      request.options.schedule = core::Schedule::kStealing;
+      request.options.min_chunk = 8;
+      request.options.max_chunk = 4;
+    }
+#pragma GCC diagnostic pop
+    const std::size_t suggested =
+        engine.cost_model().suggest_chunk(96, 4, 1, 256);
+    const BatchReport report = engine.run_batch(request);
+    EXPECT_EQ(report.chunk_size, suggested) << "run " << run;
+    check_chunks(report);
   }
-  EXPECT_EQ(total_chunks, 24u);
+
+  // A pinned chunk wins over the model: 96 / 5 -> 20 chunks.
+  request.options.chunk = 5;
+  const BatchReport pinned = engine.run_batch(request);
+  EXPECT_EQ(pinned.chunk_size, 5u);
+  check_chunks(pinned);
 }
 
-TEST(SchedulerReportTest, FixedScheduleReportsItsGeometry) {
+TEST(SchedulerReportTest, PinnedChunkReportsItsGeometry) {
   BatchOptions options;
   options.threads = 2;
   options.chunk = 16;
   const BatchReport report =
       core::solve_generated_batch(64, mixed_instance, {}, options);
-  EXPECT_EQ(report.schedule, Schedule::kFixed);
   EXPECT_EQ(report.chunk_size, 16u);
   EXPECT_EQ(report.worker_chunks.size(), report.threads_used);
   std::size_t total = 0;
   for (const std::size_t w : report.worker_chunks) total += w;
   EXPECT_EQ(total, 4u);  // 64 instances / chunk 16
-  // The report JSON carries the scheduler provenance.
+  // The report JSON keeps its schedule key, fixed, until 0.5.0.
   EXPECT_NE(report.to_json().find("\"schedule\":\"fixed\""),
             std::string::npos);
-}
-
-TEST(SchedulerOptionsTest, RejectsInvertedChunkBounds) {
-  BatchOptions options;
-  options.min_chunk = 8;
-  options.max_chunk = 4;
-  EXPECT_THROW(core::solve_generated_batch(16, mixed_instance, {}, options),
-               wdag::InvalidArgument);
 }
 
 TEST(SchedulerBackpressureTest, BoundedReorderWindowStaysCorrectBehindAStraggler) {
@@ -201,9 +195,7 @@ TEST(SchedulerBackpressureTest, BoundedReorderWindowStaysCorrectBehindAStraggler
   api::ResultSink* sinks[] = {&sink};
   BatchOptions options;
   options.threads = 4;
-  options.schedule = Schedule::kStealing;
-  options.min_chunk = 1;
-  options.max_chunk = 1;
+  options.chunk = 1;
   options.keep_entries = false;
   const core::BatchReport report = core::run_batch_items(
       600, item, options, core::builtin_strategy_names(), sinks);
@@ -236,9 +228,7 @@ TEST(SchedulerBackpressureTest, ThrowingSinkFailsTheBatchInsteadOfDeadlocking) {
          core::SolveScratch&) { entry.strategy = core::kStrategyTheorem1; };
   BatchOptions options;
   options.threads = 4;
-  options.schedule = Schedule::kStealing;
-  options.min_chunk = 1;
-  options.max_chunk = 1;
+  options.chunk = 1;
   options.keep_entries = false;
   EXPECT_THROW(core::run_batch_items(600, item, options,
                                      core::builtin_strategy_names(), sinks),

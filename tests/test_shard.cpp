@@ -51,7 +51,7 @@ std::string unsharded_csv(std::size_t threads) {
 /// One shard executed through Engine::run_shard into shard-CSV text (the
 /// manifest header line + column header + this shard's rows).
 std::string shard_csv_text(const ShardPlan& plan, std::size_t shard,
-                           std::size_t threads, core::Schedule schedule) {
+                           std::size_t threads, std::size_t chunk) {
   EngineOptions options;
   options.threads = threads;
   Engine engine(options);
@@ -62,8 +62,7 @@ std::string shard_csv_text(const ShardPlan& plan, std::size_t shard,
       BatchRequest::generated(plan.spec().family, plan.spec().count,
                               plan.spec().params);
   request.options.seed = plan.spec().seed;
-  request.options.chunk = 4;
-  request.options.schedule = schedule;
+  request.options.chunk = chunk;
   request.options.keep_entries = false;
   request.sinks = {&sink};
   (void)engine.run_shard(request, shard, plan.shards());
@@ -210,13 +209,11 @@ TEST(ShardMergeTest, MergedBytesMatchUnshardedAcrossShardAndThreadCounts) {
       const ShardPlan plan(test_spec(), shards);
       std::vector<core::ShardCsv> parts;
       for (std::size_t i = 0; i < shards; ++i) {
-        // Alternate schedulers across shards: bytes must not care.
-        const core::Schedule schedule = (i % 2 == 0)
-                                            ? core::Schedule::kFixed
-                                            : core::Schedule::kStealing;
-        parts.push_back(parse_shard(
-            shard_csv_text(plan, i, threads, schedule),
-            "shard" + std::to_string(i)));
+        // Alternate pinned chunk sizes across shards (0 = the cost
+        // model's size): bytes must not care.
+        const std::size_t chunk = std::size_t{4} * (i % 3);
+        parts.push_back(parse_shard(shard_csv_text(plan, i, threads, chunk),
+                                    "shard" + std::to_string(i)));
       }
       EXPECT_EQ(core::merge_shard_csv(parts), reference)
           << "shards=" << shards << " threads=" << threads;

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <limits>
 #include <mutex>
+#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -12,6 +15,24 @@
 
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
+
+// Every global operator new in this binary counts itself, so the queued-
+// memory test below can hold parallel_fixed_chunks to a count.
+namespace {
+std::atomic<std::size_t> heap_allocations{0};
+}  // namespace
+
+// Out of line, so GCC does not pair the malloc() and free() it would see.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
@@ -152,6 +173,28 @@ TEST(ParallelFixedChunksTest, EmptyRangeAndBadChunkSize) {
                    pool, 0, 4, 0,
                    [](std::size_t, std::size_t, std::size_t) {}),
                wdag::InvalidArgument);
+}
+
+TEST(ParallelFixedChunksTest, QueuedMemoryDoesNotGrowWithTheChunkCount) {
+  // At most one task per worker pulls chunk ordinals from a shared
+  // counter, so a call queues the same few tasks whatever its chunk
+  // count. The pool's queue allocates a node only every few submissions,
+  // so compare the fewest allocations over repeated calls.
+  ThreadPool pool(4);
+  const auto fewest_allocations = [&pool](std::size_t chunks) {
+    std::size_t fewest = std::numeric_limits<std::size_t>::max();
+    for (int rep = 0; rep < 8; ++rep) {
+      std::atomic<std::size_t> covered{0};
+      const std::size_t before = heap_allocations.load();
+      wdag::util::parallel_fixed_chunks(
+          pool, 0, chunks, 1,
+          [&covered](std::size_t, std::size_t, std::size_t) { ++covered; });
+      fewest = std::min(fewest, heap_allocations.load() - before);
+      EXPECT_EQ(covered.load(), chunks);
+    }
+    return fewest;
+  };
+  EXPECT_LE(fewest_allocations(100'000), fewest_allocations(100));
 }
 
 TEST(ThreadPoolTest, ForEachWorkerRunsExactlyOncePerWorker) {
