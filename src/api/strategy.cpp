@@ -6,6 +6,7 @@
 #include "conflict/coloring.hpp"
 #include "conflict/conflict_graph.hpp"
 #include "conflict/exact_color.hpp"
+#include "conflict/twins.hpp"
 #include "core/split_merge.hpp"
 #include "core/theorem1.hpp"
 #include "paths/load.hpp"
@@ -71,10 +72,13 @@ class DsaturStrategy final : public SolverStrategy {
   }
   [[nodiscard]] StrategyResult solve(const paths::DipathFamily& family,
                                      const StrategyContext& ctx) const override {
-    const conflict::ConflictGraph& cg = conflict_graph_for(family, ctx.scratch);
+    // Over the family's twin classes: the colouring of dsatur_coloring on
+    // the dipath-level graph, from class rows, with pi from the same pass.
+    const conflict::TwinIndex& twins = conflict::index_twins(family);
     StrategyResult out;
-    out.coloring = conflict::dsatur_coloring(cg);
+    out.coloring = conflict::dsatur_coloring(twins, ctx.scratch.conflict_graph);
     out.wavelengths = conflict::normalize_colors(out.coloring);
+    out.load = twins.load;
     return out;
   }
 };

@@ -44,6 +44,15 @@ class ConflictGraph {
   /// instances in a chunk do not reallocate the adjacency pool each.
   void rebuild(const paths::DipathFamily& family);
 
+  /// Rebuilds in place over n vertices from cliques given in CSR form:
+  /// the members of group g are ids[offsets[g] .. offsets[g+1]), distinct
+  /// and pairwise adjacent. rebuild(family) is this over the family's arc
+  /// groups; DSATUR's twin classes build their class rows with it. Throws
+  /// wdag::InvalidArgument on falling offsets or an id of n or more.
+  void rebuild_from_groups(std::size_t n,
+                           const std::vector<std::uint32_t>& offsets,
+                           const std::vector<std::uint32_t>& ids);
+
   /// Number of vertices (dipaths).
   [[nodiscard]] std::size_t size() const { return n_; }
 

@@ -21,24 +21,27 @@ DipathFamily random_walk_family(util::Xoshiro256& rng, const Digraph& g,
   WDAG_REQUIRE(min_len >= 1 && min_len <= max_len,
                "random_walk_family: need 1 <= min_len <= max_len");
   DipathFamily fam(g);
+  // Each walk grows in one reused buffer; its dipath is then allocated
+  // once, at its final length.
+  thread_local std::vector<ArcId> walk;
   for (std::size_t i = 0; i < count; ++i) {
-    Dipath p;
+    walk.clear();
     const ArcId first = static_cast<ArcId>(rng.index(g.num_arcs()));
-    p.arcs.push_back(first);
+    walk.push_back(first);
     VertexId cur = g.head(first);
     // Extend forward. In a DAG the walk cannot revisit a vertex, so any
     // forward extension keeps the dipath simple.
-    while (p.arcs.size() < max_len) {
+    while (walk.size() < max_len) {
       const auto out = g.out_arcs(cur);
       if (out.empty()) break;
       // Keep extending until min_len, then stop with probability 1/3.
-      if (p.arcs.size() >= min_len && rng.chance(1.0 / 3.0)) break;
+      if (walk.size() >= min_len && rng.chance(1.0 / 3.0)) break;
       const ArcId next = out[rng.index(out.size())];
-      p.arcs.push_back(next);
+      walk.push_back(next);
       cur = g.head(next);
     }
     // A forward walk in a DAG is a simple dipath by construction.
-    fam.add_unchecked(std::move(p));
+    fam.add_unchecked(Dipath(std::vector<ArcId>(walk.begin(), walk.end())));
   }
   return fam;
 }

@@ -28,15 +28,6 @@ bool ConstBitsetView::test(std::size_t i) const {
   return test_unchecked(i);
 }
 
-std::size_t ConstBitsetView::count() const {
-  std::size_t c = 0;
-  const std::size_t nw = num_words();
-  for (std::size_t w = 0; w < nw; ++w) {
-    c += static_cast<std::size_t>(std::popcount(words_[w]));
-  }
-  return c;
-}
-
 bool ConstBitsetView::none() const {
   const std::size_t nw = num_words();
   for (std::size_t w = 0; w < nw; ++w) {

@@ -45,7 +45,7 @@ class ConstBitsetView {
     return (words_[i / 64] >> (i % 64)) & 1;
   }
 
-  /// Number of set bits.
+  /// Number of set bits. Inline: ConflictGraph counts every row with it.
   [[nodiscard]] std::size_t count() const;
 
   /// True when no bit is set.
@@ -73,6 +73,34 @@ class ConstBitsetView {
   const std::uint64_t* words_ = nullptr;
   std::size_t bits_ = 0;
 };
+
+inline std::size_t ConstBitsetView::count() const {
+  // The baseline x86-64 ISA has no popcnt, so std::popcount would be one
+  // libgcc call per word. SWAR instead: each word's bit count per byte
+  // (at most 8) is summed into byte lanes over a block of at most 31
+  // words (31 * 8 = 248 fits a byte), and the lanes are folded once per
+  // block, through 16-bit lanes (8 * 248 = 1984 fits those).
+  constexpr std::uint64_t k1 = 0x5555555555555555ULL;
+  constexpr std::uint64_t k2 = 0x3333333333333333ULL;
+  constexpr std::uint64_t k4 = 0x0f0f0f0f0f0f0f0fULL;
+  constexpr std::uint64_t k8 = 0x00ff00ff00ff00ffULL;
+  constexpr std::size_t kBlock = 31;
+  std::size_t c = 0;
+  const std::size_t nw = num_words();
+  for (std::size_t w = 0; w < nw;) {
+    const std::size_t end = nw - w < kBlock ? nw : w + kBlock;
+    std::uint64_t bytes = 0;
+    for (; w < end; ++w) {
+      std::uint64_t x = words_[w];
+      x -= (x >> 1) & k1;
+      x = (x & k2) + ((x >> 2) & k2);
+      bytes += (x + (x >> 4)) & k4;
+    }
+    const std::uint64_t halves = (bytes & k8) + ((bytes >> 8) & k8);
+    c += static_cast<std::size_t>((halves * 0x0001000100010001ULL) >> 48);
+  }
+  return c;
+}
 
 /// Fixed-capacity-after-construction bitset backed by 64-bit words.
 class DynamicBitset {

@@ -19,6 +19,7 @@
 
 #include "conflict/coloring.hpp"
 #include "conflict/conflict_graph.hpp"
+#include "conflict/twins.hpp"
 #include "gen/workloads.hpp"
 #include "util/dynamic_bitset.hpp"
 #include "util/rng.hpp"
@@ -171,6 +172,53 @@ TEST(ColoringDifferentialTest, DsaturMatchesReferenceAcrossWords) {
     }
     EXPECT_EQ(c, reference_dsatur(cg)) << "density=" << density;
   }
+}
+
+/// `family` with its dipaths in a random order.
+paths::DipathFamily shuffled(const paths::DipathFamily& family,
+                             Xoshiro256& rng) {
+  std::vector<std::size_t> order = natural_order(family.size());
+  rng.shuffle(order);
+  paths::DipathFamily out(family.graph());
+  for (const std::size_t i : order) out.add_unchecked(family.path(i));
+  return out;
+}
+
+// The family entry runs DSATUR over twin classes. It must return the
+// dipath kernel's colouring exactly: on 200 draws of every family at
+// seeds 1-3, and on families whose dipaths all have twins, from
+// replicate(h), with the copies in blocks and shuffled.
+TEST(ColoringDifferentialTest, TwinClassDsaturMatchesDipathKernel) {
+  ConflictGraph rows;
+  std::size_t with_twins = 0;
+  auto check = [&](const paths::DipathFamily& family,
+                   const std::string& what) {
+    const conflict::TwinIndex& twins = conflict::index_twins(family);
+    if (twins.classes() < twins.paths()) ++with_twins;
+    EXPECT_EQ(conflict::dsatur_coloring(twins, rows),
+              conflict::dsatur_coloring(ConflictGraph(family)))
+        << what;
+  };
+  for (const std::string& name : gen::workload_names()) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      for (std::size_t i = 0; i < 200; ++i) {
+        Xoshiro256 rng((seed << 32) | i);
+        check(gen::workload_instance(name, {}, rng).family,
+              name + " seed " + std::to_string(seed) + " draw " +
+                  std::to_string(i));
+      }
+    }
+    Xoshiro256 rng(0x7A1 + std::hash<std::string>{}(name));
+    const gen::Instance inst = gen::workload_instance(name, {}, rng);
+    for (const std::size_t h : {2, 3, 5}) {
+      const paths::DipathFamily copies = inst.family.replicate(h);
+      check(copies, name + " replicate " + std::to_string(h));
+      check(shuffled(copies, rng),
+            name + " replicate " + std::to_string(h) + " shuffled");
+    }
+  }
+  // Most draws of the random families repeat a walk.
+  EXPECT_GT(with_twins, 3000u);
 }
 
 TEST(ColoringDifferentialTest, GreedyMatchesReferenceOnEveryFamily) {

@@ -94,6 +94,30 @@ TEST(ConflictGraphTest, ExplicitEdgeListValidation) {
   EXPECT_THROW(ConflictGraph(2, {{1, 1}}), wdag::InvalidArgument);
 }
 
+TEST(ConflictGraphTest, RebuildFromGroupsMakesEachGroupAClique) {
+  // Groups {0,1,2}, {}, {3}, {2,3,4}: edges 01 02 12 23 24 34.
+  const std::vector<std::uint32_t> offsets = {0, 3, 3, 4, 7};
+  const std::vector<std::uint32_t> ids = {0, 1, 2, 3, 2, 3, 4};
+  ConflictGraph cg;
+  cg.rebuild_from_groups(6, offsets, ids);
+  const ConflictGraph expected(
+      6, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 4}});
+  ASSERT_EQ(cg.size(), 6u);
+  EXPECT_EQ(cg.num_edges(), expected.num_edges());
+  for (std::size_t u = 0; u < 6; ++u) {
+    EXPECT_EQ(cg.degree(u), expected.degree(u)) << u;
+    for (std::size_t v = 0; v < 6; ++v) {
+      EXPECT_EQ(cg.adjacent(u, v), expected.adjacent(u, v)) << u << "," << v;
+    }
+  }
+  EXPECT_THROW(cg.rebuild_from_groups(4, offsets, ids),
+               wdag::InvalidArgument);  // id 4 in a 4-vertex graph
+  EXPECT_THROW(cg.rebuild_from_groups(6, {0, 3, 2}, ids),
+               wdag::InvalidArgument);  // falling offsets
+  EXPECT_THROW(cg.rebuild_from_groups(6, {0, 8}, ids),
+               wdag::InvalidArgument);  // past the ids
+}
+
 TEST(ConflictGraphTest, NeighborsBitset) {
   const ConflictGraph cg(5, {{0, 1}, {0, 2}, {0, 4}});
   const auto idx = cg.neighbors(0).to_indices();

@@ -5,7 +5,9 @@
 // wavelength count, so neither the CSV bytes nor a validity check would
 // notice it. These digests pin the colouring itself, over dense
 // (dense-dsatur-shaped) conflict graphs and every workload family, so a
-// rewrite of the kernel must reproduce the recorded picks exactly. A
+// rewrite of the kernel must reproduce the recorded picks exactly. Both
+// entries must hit them: the dipath kernel on ConflictGraph(family) and
+// the twin-class kernel on the family's index (conflict/twins.hpp). A
 // change that alters the colourings on purpose re-records them and says
 // why.
 
@@ -20,6 +22,7 @@
 
 #include "conflict/coloring.hpp"
 #include "conflict/conflict_graph.hpp"
+#include "conflict/twins.hpp"
 #include "gen/workloads.hpp"
 #include "util/rng.hpp"
 
@@ -45,6 +48,7 @@ namespace {
 
 using wdag::conflict::ConflictGraph;
 using wdag::conflict::dsatur_coloring;
+using wdag::conflict::index_twins;
 using wdag::gen::WorkloadParams;
 
 /// The dense-dsatur benchmark's instance shape: 1,500 random walks on a
@@ -68,13 +72,19 @@ struct Fnv1a {
   }
 };
 
-/// The conflict graph of draw i of a pool, each draw on its own stream.
+/// Draw i of a pool, each draw on its own stream.
+wdag::gen::Instance pool_instance(const std::string& family,
+                                  const WorkloadParams& params,
+                                  std::uint64_t seed, std::size_t i) {
+  wdag::util::Xoshiro256 rng((seed << 32) | i);
+  return wdag::gen::workload_instance(family, params, rng);
+}
+
+/// The conflict graph of draw i of a pool.
 ConflictGraph pool_graph(const std::string& family,
                          const WorkloadParams& params, std::uint64_t seed,
                          std::size_t i) {
-  wdag::util::Xoshiro256 rng((seed << 32) | i);
-  return ConflictGraph(
-      wdag::gen::workload_instance(family, params, rng).family);
+  return ConflictGraph(pool_instance(family, params, seed, i).family);
 }
 
 struct GoldenPool {
@@ -112,16 +122,25 @@ TEST(DsaturGoldenTest, ChoicesMatchRecordedDigests) {
       {"figure3", {}, 1, 200, 0x9c73bc516cabd025ULL},
       {"havet", {}, 1, 200, 0x4401ad17319a5e25ULL},
   };
+  ConflictGraph rows;  // reused, as SolveScratch::conflict_graph is
   for (const GoldenPool& pool : pools) {
-    Fnv1a h;
+    Fnv1a by_paths;
+    Fnv1a by_classes;
     for (std::size_t i = 0; i < pool.draws; ++i) {
-      const auto c =
-          dsatur_coloring(pool_graph(pool.family, pool.params, pool.seed, i));
-      h.add(c.size());
-      for (const auto col : c) h.add(col);
+      const wdag::gen::Instance inst =
+          pool_instance(pool.family, pool.params, pool.seed, i);
+      const auto c = dsatur_coloring(ConflictGraph(inst.family));
+      by_paths.add(c.size());
+      for (const auto col : c) by_paths.add(col);
+      const auto t = dsatur_coloring(index_twins(inst.family), rows);
+      by_classes.add(t.size());
+      for (const auto col : t) by_classes.add(col);
     }
-    EXPECT_EQ(h.h, pool.digest)
-        << pool.family << " seed " << pool.seed << ": 0x" << std::hex << h.h;
+    EXPECT_EQ(by_paths.h, pool.digest) << pool.family << " seed " << pool.seed
+                                       << ": 0x" << std::hex << by_paths.h;
+    EXPECT_EQ(by_classes.h, pool.digest)
+        << pool.family << " seed " << pool.seed << " (twin classes): 0x"
+        << std::hex << by_classes.h;
   }
 }
 
@@ -154,6 +173,37 @@ TEST(DsaturAllocationTest, OnlyTheResultOnceWarm) {
   RecordProperty("allocations_per_call",
                  std::to_string(static_cast<double>(allocations) /
                                 static_cast<double>(pool.size())));
+}
+
+// The family entry keeps the twin index, the class rows and the kernel's
+// tables across calls too: once warm, indexing a family and colouring it
+// over its classes allocates only the returned Coloring.
+TEST(DsaturAllocationTest, FamilyEntryOnlyTheResultOnceWarm) {
+  std::vector<wdag::gen::Instance> pool;
+  for (std::size_t i = 0; i < 8; ++i) {
+    pool.push_back(pool_instance("random-dag", dense_params(), 3, i));
+  }
+  for (const std::string& family : wdag::gen::workload_names()) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      pool.push_back(pool_instance(family, {}, 3, i));
+    }
+  }
+  ConflictGraph rows;
+  std::size_t nonempty = 0;
+  std::size_t with_twins = 0;
+  for (const wdag::gen::Instance& inst : pool) {
+    if (!inst.family.empty()) ++nonempty;
+    const auto& twins = index_twins(inst.family);
+    if (twins.classes() < twins.paths()) ++with_twins;
+    (void)dsatur_coloring(twins, rows);
+  }
+  // The class kernel itself must be measured, not only the no-twin route.
+  EXPECT_GT(with_twins, pool.size() / 4);
+  const std::size_t before = heap_allocations.load();
+  for (const wdag::gen::Instance& inst : pool) {
+    (void)dsatur_coloring(index_twins(inst.family), rows);
+  }
+  EXPECT_EQ(heap_allocations.load() - before, nonempty);
 }
 
 }  // namespace

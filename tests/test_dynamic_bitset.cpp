@@ -85,6 +85,26 @@ TEST(DynamicBitsetTest, SetAllRespectsTail) {
   }
 }
 
+// count() sums per-byte counts over blocks of at most 31 words (1,984
+// bits) and folds each block once, so rows longer than one block, full
+// blocks of ones and block edges are where a lane could overflow.
+TEST(DynamicBitsetTest, CountAcrossSwarBlocks) {
+  Xoshiro256 rng(0xC0);
+  for (const std::size_t bits :
+       {1983, 1984, 1985, 2047, 2048, 3968, 3969, 4000, 9000}) {
+    DynamicBitset ones(bits);
+    ones.set_all();
+    EXPECT_EQ(ones.count(), bits) << "bits=" << bits;
+    EXPECT_EQ(ConstBitsetView(ones).count(), bits) << "bits=" << bits;
+    for (const std::uint64_t one_in : {2, 7}) {
+      const DynamicBitset b = random_mask(rng, bits, one_in);
+      std::size_t naive = 0;
+      for (std::size_t i = 0; i < bits; ++i) naive += b.test(i) ? 1 : 0;
+      EXPECT_EQ(b.count(), naive) << "bits=" << bits;
+    }
+  }
+}
+
 TEST(DynamicBitsetTest, FindFirstAndNext) {
   DynamicBitset b(200);
   EXPECT_EQ(b.find_first(), 200u);

@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "conflict/coloring.hpp"
+#include "conflict/conflict_graph.hpp"
 #include "core/solver.hpp"
 #include "gen/family_gen.hpp"
 #include "gen/paper_instances.hpp"
 #include "gen/random_dag.hpp"
+#include "gen/workloads.hpp"
 #include "helpers.hpp"
+#include "paths/load.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -121,6 +126,42 @@ TEST(SolverTest, RandomDagsAlwaysGetValidColorings) {
     EXPECT_TRUE(wdag::conflict::is_valid_assignment(fam, res.coloring));
     EXPECT_GE(res.wavelengths, res.load);
   }
+}
+
+// The DSATUR strategy colours over twin classes and reports pi itself.
+// Dispatched and forced, its answer must be the dipath kernel's colouring,
+// normalized, with pi from paths::max_load.
+TEST(SolverTest, DsaturStrategyAnswersWithTheDipathKernelsColoring) {
+  SolveOptions opt;
+  opt.exact_threshold = 0;  // keep DSATUR's own colouring
+  std::size_t dispatched = 0;
+  for (const std::string& name : wdag::gen::workload_names()) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      for (std::size_t i = 0; i < 200; ++i) {
+        wdag::util::Xoshiro256 rng((seed << 32) | i);
+        const auto inst = wdag::gen::workload_instance(name, {}, rng);
+        auto expected = wdag::conflict::dsatur_coloring(
+            wdag::conflict::ConflictGraph(inst.family));
+        const std::size_t k = wdag::conflict::normalize_colors(expected);
+        const std::size_t pi = wdag::paths::max_load(inst.family);
+        const std::string where =
+            name + " seed " + std::to_string(seed) + " draw " +
+            std::to_string(i);
+        const auto forced =
+            wdag::test::solve_builtin(inst.family, opt, kStrategyDsatur);
+        EXPECT_EQ(forced.coloring, expected) << where << " (forced)";
+        EXPECT_EQ(forced.wavelengths, k) << where << " (forced)";
+        EXPECT_EQ(forced.load, pi) << where << " (forced)";
+        const auto res = wdag::test::solve_builtin(inst.family, opt);
+        if (res.strategy != kStrategyDsatur) continue;
+        ++dispatched;
+        EXPECT_EQ(res.coloring, expected) << where;
+        EXPECT_EQ(res.wavelengths, k) << where;
+        EXPECT_EQ(res.load, pi) << where;
+      }
+    }
+  }
+  EXPECT_GT(dispatched, 1000u);
 }
 
 }  // namespace
