@@ -10,15 +10,24 @@
 //  * picks vertices in DSATUR order (most distinct neighbor colors, then
 //    highest degree, then lowest index) and lets a vertex open at most one
 //    new color, which breaks the symmetry between unused colors;
-//  * keeps a counter per (vertex, color) of the neighbors holding that
-//    color, plus a per-vertex count of distinct neighbor colors, so
-//    assigning or undoing a color walks only that vertex's adjacency row;
+//  * works on bit planes, one bit per vertex: for each color c the set of
+//    vertices with a neighbor colored c (so "v may take c" is one bit
+//    test), the saturations as bit-sliced counters over
+//    ceil(log2(maxdeg + 1)) planes, and the degrees as planes built once
+//    per call. A pick narrows the uncolored set plane by plane,
+//    saturation then degree, highest bit first, and takes the lowest id;
+//    coloring v with c adds the neighbors new to c's set to the counters
+//    a 64-bit word at a time, and that set, saved per depth, undoes it.
+//    Graphs of at most 64 vertices run a one-word instantiation;
 //  * applies a twin rule. Vertices with equal closed neighborhoods
 //    (identical dipaths among them) are interchangeable, so within such a
 //    class colors must increase with vertex index. The rule stays sound
 //    next to the one-new-color rule only because every class is colored
 //    in index order: from its DSATUR choice the search walks down to the
 //    lowest uncolored member of that vertex's class.
+//
+// Its tables persist per thread, so once warm the search allocates
+// nothing but the coloring it returns.
 //
 // Bounds contract. The two-argument chromatic_number computes its own
 // bounds: DSATUR above, the maximum clique below. The bounded overload
