@@ -56,13 +56,6 @@ class SplitMergeStrategy final : public SolverStrategy {
   }
 };
 
-/// The conflict graph of `family`, built into the caller's arena.
-const conflict::ConflictGraph& conflict_graph_for(
-    const paths::DipathFamily& family, core::SolveScratch& scratch) {
-  scratch.conflict_graph.rebuild(family);
-  return scratch.conflict_graph;
-}
-
 /// General DAGs: DSATUR heuristic on the conflict graph.
 class DsaturStrategy final : public SolverStrategy {
  public:
@@ -83,16 +76,15 @@ class DsaturStrategy final : public SolverStrategy {
   }
 };
 
-/// The exact chromatic number of `family` between the bounds the pipeline
-/// already holds: the load `pi` below, which on UPP hosts is the clique
-/// number itself (Property 3), and `upper` above when it is a valid
-/// coloring (a fresh DSATUR coloring otherwise). Serves both the forced
-/// exact strategy and certification.
-conflict::ChromaticResult exact_coloring(const paths::DipathFamily& family,
+/// The exact chromatic number of a family with conflict graph `cg`,
+/// between the bounds the pipeline already holds: the load `pi` below,
+/// which on UPP hosts is the clique number itself (Property 3), and
+/// `upper` above when it is a valid coloring (a fresh DSATUR coloring
+/// otherwise). Serves both the forced exact strategy and certification.
+conflict::ChromaticResult exact_coloring(const conflict::ConflictGraph& cg,
                                          const StrategyContext& ctx,
                                          std::size_t pi,
                                          const conflict::Coloring* upper) {
-  const conflict::ConflictGraph& cg = conflict_graph_for(family, ctx.scratch);
   conflict::ChromaticBounds bounds{pi, ctx.report.is_upp, {}};
   if (upper != nullptr && conflict::is_valid_coloring(cg, *upper)) {
     bounds.upper = *upper;
@@ -114,8 +106,18 @@ class ExactStrategy final : public SolverStrategy {
   [[nodiscard]] bool self_validating() const override { return true; }
   [[nodiscard]] StrategyResult solve(const paths::DipathFamily& family,
                                      const StrategyContext& ctx) const override {
-    const std::size_t pi = paths::max_load(family);
-    auto r = exact_coloring(family, ctx, pi, nullptr);
+    // One arc-incidence pass: its groups are the cliques the conflict
+    // graph is built from, and the largest of them is pi.
+    thread_local std::vector<std::uint32_t> offsets;
+    thread_local std::vector<paths::PathId> ids;
+    paths::arc_incidence_csr(family, offsets, ids);
+    std::size_t pi = 0;
+    for (std::size_t a = 0; a + 1 < offsets.size(); ++a) {
+      pi = std::max<std::size_t>(pi, offsets[a + 1] - offsets[a]);
+    }
+    ctx.scratch.conflict_graph.rebuild_from_groups(family.size(), offsets,
+                                                   ids);
+    auto r = exact_coloring(ctx.scratch.conflict_graph, ctx, pi, nullptr);
     StrategyResult out;
     out.coloring = std::move(r.coloring);
     out.wavelengths = r.chromatic_number;
@@ -236,8 +238,9 @@ SolveResponse solve_with(const StrategyRegistry& registry,
     const std::size_t pi = chosen < core::kBuiltinStrategyCount
                                ? resp.load
                                : paths::max_load(family);
+    arena->conflict_graph.rebuild(family);
     conflict::ChromaticResult e =
-        exact_coloring(family, ctx, pi, &resp.coloring);
+        exact_coloring(arena->conflict_graph, ctx, pi, &resp.coloring);
     if (e.proven && e.chromatic_number <= resp.wavelengths) {
       resp.coloring = std::move(e.coloring);
       resp.wavelengths = e.chromatic_number;

@@ -270,7 +270,12 @@ auto with_search(const ConflictGraph& cg, std::size_t budget, F&& f) {
 std::optional<Coloring> try_color_with(const ConflictGraph& cg, std::size_t k,
                                        std::size_t node_budget) {
   if (cg.size() == 0) return Coloring{};
-  if (greedy_clique(cg).size() > k) return std::nullopt;  // clique certifies
+  // A clique of more than k vertices certifies "no". The greedy clique can
+  // miss the maximum one, and a refutation by search then costs far more
+  // than max_clique, so the exact clique number decides before any search.
+  if (greedy_clique(cg).size() > k || max_clique(cg).size() > k) {
+    return std::nullopt;
+  }
   return with_search(
       cg, node_budget, [&](auto& search) -> std::optional<Coloring> {
         if (search.color(k)) {

@@ -23,8 +23,10 @@
 //    (identical dipaths among them) are interchangeable, so within such a
 //    class colors must increase with vertex index. The rule stays sound
 //    next to the one-new-color rule only because every class is colored
-//    in index order: from its DSATUR choice the search walks down to the
-//    lowest uncolored member of that vertex's class.
+//    in index order. The pick already guarantees that: uncolored twins
+//    have equal saturations and equal degrees, so the lowest id among
+//    them wins the tie, and the search asserts that the picked vertex is
+//    the lowest uncolored member of its class.
 //
 // Its tables persist per thread, so once warm the search allocates
 // nothing but the coloring it returns.
@@ -84,7 +86,8 @@ ChromaticResult chromatic_number(const ConflictGraph& cg,
 /// Decision variant: can cg be colored with at most k colors?
 /// Returns a coloring when satisfiable, nullopt otherwise (within budget;
 /// throws wdag::InternalError when the budget is hit, since a wrong answer
-/// would poison the benches).
+/// would poison the benches). A clique of more than k vertices answers
+/// nullopt before any search: the greedy clique first, then max_clique.
 std::optional<Coloring> try_color_with(const ConflictGraph& cg, std::size_t k,
                                        std::size_t node_budget = 50'000'000);
 

@@ -2,26 +2,21 @@
 
 #include <sstream>
 
-#include "dag/internal_cycle.hpp"
-#include "dag/upp.hpp"
-#include "graph/properties.hpp"
-#include "graph/topo.hpp"
+#include "dag/host_index.hpp"
 
 namespace wdag::dag {
 
 DagReport classify(const graph::Digraph& g) {
+  const HostIndex& h = index_host(g, /*with_upp=*/true);
   DagReport r;
   r.num_vertices = g.num_vertices();
   r.num_arcs = g.num_arcs();
-  const auto stats = graph::degree_stats(g);
-  r.num_sources = stats.num_sources;
-  r.num_sinks = stats.num_sinks;
-  // One Kahn pass answers acyclicity and feeds the UPP DP.
-  const auto order = graph::topological_sort(g);
-  r.is_dag = order.has_value();
+  r.num_sources = h.num_sources;
+  r.num_sinks = h.num_sinks;
+  r.is_dag = h.topo->acyclic();
   if (r.is_dag) {
-    r.internal_cycles = internal_cycle_count(g);
-    r.is_upp = is_upp(g, *order);
+    r.internal_cycles = h.internal_cycles;
+    r.is_upp = h.is_upp;
   }
   return r;
 }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "dag/host_index.hpp"
 #include "graph/properties.hpp"
 #include "util/check.hpp"
-#include "util/union_find.hpp"
 
 namespace wdag::dag {
 
@@ -12,39 +12,12 @@ using graph::ArcId;
 using graph::Digraph;
 using graph::VertexId;
 
-namespace {
-
-/// Arcs whose endpoints are both internal vertices per `mask` (computed
-/// once by the caller; the mask walk used to dominate these queries).
-std::vector<ArcId> internal_arcs(const Digraph& g,
-                                 const std::vector<bool>& mask) {
-  std::vector<ArcId> arcs;
-  const auto& all = g.arcs();
-  for (ArcId a = 0; a < all.size(); ++a) {
-    if (mask[all[a].tail] && mask[all[a].head]) arcs.push_back(a);
-  }
-  return arcs;
-}
-
-}  // namespace
-
 bool has_internal_cycle(const Digraph& g) {
-  util::UnionFind uf(g.num_vertices());
-  for (ArcId a : internal_arcs(g, graph::internal_vertex_mask(g))) {
-    if (!uf.unite(g.tail(a), g.head(a))) return true;
-  }
-  return false;
+  return index_host(g, /*with_upp=*/false).internal_cycles > 0;
 }
 
 std::size_t internal_cycle_count(const Digraph& g) {
-  // Cyclomatic number of the internal sub-multigraph = number of arcs that
-  // close a cycle during union-find, i.e. m' - (n' - c').
-  util::UnionFind uf(g.num_vertices());
-  std::size_t closing = 0;
-  for (ArcId a : internal_arcs(g, graph::internal_vertex_mask(g))) {
-    if (!uf.unite(g.tail(a), g.head(a))) ++closing;
-  }
-  return closing;
+  return index_host(g, /*with_upp=*/false).internal_cycles;
 }
 
 std::optional<OrientedCycle> find_internal_cycle(const Digraph& g) {

@@ -8,8 +8,8 @@
 // Detection reduces to acyclicity of the underlying undirected multigraph
 // restricted to arcs between internal vertices: any undirected cycle there
 // is an oriented cycle of G visiting only internal vertices, and
-// conversely. We use union–find for the yes/no and count queries and a DFS
-// for explicit extraction.
+// conversely. The yes/no and count queries read the host index's
+// union-find count (dag/host_index.hpp); a DFS extracts explicit cycles.
 
 #include <optional>
 #include <span>

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 
+#include "dag/host_index.hpp"
 #include "graph/topo.hpp"
 #include "util/check.hpp"
-#include "util/dynamic_bitset.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wdag::dag {
@@ -47,47 +47,24 @@ std::uint64_t count_dipaths(const Digraph& g, VertexId u, VertexId v,
 }
 
 bool is_upp(const Digraph& g) {
-  const auto order = graph::topological_sort(g);
-  WDAG_DOMAIN(order.has_value(), "is_upp: input is not a DAG");
-  return is_upp(g, *order);
+  const HostIndex& h = index_host(g, /*with_upp=*/true);
+  WDAG_DOMAIN(h.topo->acyclic(), "is_upp: input is not a DAG");
+  return h.is_upp;
 }
 
-bool is_upp(const Digraph& g, const std::vector<VertexId>& order_in) {
-  const auto* order = &order_in;
+bool is_upp(const Digraph& g, const std::vector<VertexId>& /*order*/) {
+  return is_upp(g);
+}
+
+bool upp_by_path_counts(const Digraph& g, const std::vector<VertexId>& order) {
   const std::size_t n = g.num_vertices();
-  if (n == 0) return true;
-
-  // Word-parallel check for all but huge hosts: two distinct dipaths
-  // u -> w exist iff some vertex has two in-arcs whose tails share an
-  // ancestor (the reconvergence point witnesses the violation). One
-  // forward pass over the topological order maintains each vertex's
-  // ancestor cone as a bitset: when a vertex's in-cones overlap, the DAG
-  // is not UPP. O(m * n/64) total versus the per-source DP's O(n * m);
-  // beyond the size cap the cones' O(n^2) bits stop paying for
-  // themselves, so the sharded DP takes over.
-  if (n <= 4096) {
-    thread_local std::vector<util::DynamicBitset> anc;
-    if (anc.size() < n) anc.resize(n);
-    for (const VertexId v : *order) {
-      util::DynamicBitset& cone = anc[v];
-      cone.reset_to_zero(n);
-      for (const ArcId a : g.in_arcs(v)) {
-        const util::DynamicBitset& tail_cone = anc[g.arcs()[a].tail];
-        if (cone.intersects(tail_cone)) return false;
-        cone |= tail_cone;
-      }
-      cone.set_unchecked(v);
-    }
-    return true;
-  }
-
   std::atomic<bool> violated{false};
   util::parallel_for_chunks(
       0, n,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t src = lo; src < hi && !violated.load(); ++src) {
           const auto cnt =
-              counts_from(g, *order, static_cast<VertexId>(src), 2);
+              counts_from(g, order, static_cast<VertexId>(src), 2);
           for (std::size_t v = 0; v < n; ++v) {
             if (cnt[v] >= 2) {
               violated.store(true);

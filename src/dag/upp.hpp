@@ -6,8 +6,14 @@
 // interchangeable, the conflict relation satisfies the Helly property, and
 // the load equals the clique number of the conflict graph (Property 3).
 //
-// The test is a saturating path-count dynamic program per start vertex,
-// O(n*m) total, fanned out over the thread pool for large graphs.
+// is_upp() reads the host index (dag/host_index.hpp). Up to 4,096
+// vertices it pushes ancestor cones forward along the out-arcs in
+// topological order, O(m * n/64) word operations over one per-thread word
+// pool, and flags the host when a push meets the cone it joins. Above
+// that, where the cones' O(n^2) bits stop paying for themselves, a
+// saturating path-count dynamic program runs per start vertex, O(n*m)
+// total, fanned out over the thread pool. find_upp_violation() and
+// count_dipaths() run that DP directly.
 
 #include <cstdint>
 #include <optional>
@@ -34,8 +40,9 @@ struct UppViolation {
 /// True when g is a UPP-DAG. Requires a DAG (throws DomainError otherwise).
 bool is_upp(const graph::Digraph& g);
 
-/// is_upp() with a caller-supplied topological order of g (must be valid),
-/// so classifiers that already ran Kahn's algorithm do not run it twice.
+/// is_upp() with a caller-supplied topological order of g (must be valid).
+/// The order is not read: the host index builds its own with the
+/// out-lists the cone pass walks, so this is is_upp(g).
 bool is_upp(const graph::Digraph& g,
             const std::vector<graph::VertexId>& order);
 

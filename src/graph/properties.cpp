@@ -1,6 +1,5 @@
 #include "graph/properties.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "util/check.hpp"
@@ -69,20 +68,6 @@ Components underlying_components(const Digraph& g) {
 
 bool is_underlying_connected(const Digraph& g) {
   return underlying_components(g).count <= 1;
-}
-
-DegreeStats degree_stats(const Digraph& g) {
-  DegreeStats s;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const std::size_t din = g.in_degree(v);
-    const std::size_t dout = g.out_degree(v);
-    s.max_in = std::max(s.max_in, din);
-    s.max_out = std::max(s.max_out, dout);
-    if (din == 0 && dout == 0) ++s.num_isolated;
-    if (din == 0) ++s.num_sources;
-    if (dout == 0) ++s.num_sinks;
-  }
-  return s;
 }
 
 }  // namespace wdag::graph

@@ -40,14 +40,4 @@ Components underlying_components(const Digraph& g);
 /// (vacuously true for the empty graph).
 bool is_underlying_connected(const Digraph& g);
 
-/// Basic degree statistics used by reports and generators.
-struct DegreeStats {
-  std::size_t max_in = 0;
-  std::size_t max_out = 0;
-  std::size_t num_sources = 0;
-  std::size_t num_sinks = 0;
-  std::size_t num_isolated = 0;  ///< in-degree == out-degree == 0
-};
-DegreeStats degree_stats(const Digraph& g);
-
 }  // namespace wdag::graph

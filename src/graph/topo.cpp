@@ -4,45 +4,52 @@
 
 namespace wdag::graph {
 
-namespace {
-
-/// Kahn's algorithm: `order` receives the sources in ascending id, then
-/// serves as the queue. `indeg` is consumed; `out_arcs(u)` lists the arcs
-/// leaving u. Returns false on a directed cycle.
-template <class OutArcs>
-bool kahn(std::span<const Arc> arcs, std::vector<std::uint32_t>& indeg,
-          const OutArcs& out_arcs, std::vector<VertexId>& order) {
-  const std::size_t n = indeg.size();
-  order.clear();
-  order.reserve(n);
-  for (VertexId v = 0; v < n; ++v) {
-    if (indeg[v] == 0) order.push_back(v);
+const TopoIndex& index_topology(std::size_t num_vertices,
+                                std::span<const Arc> arcs) {
+  thread_local TopoIndex t;
+  // Out-list cursors while the CSR fills, then Kahn's remaining in-degrees.
+  thread_local std::vector<std::uint32_t> work;
+  const std::size_t n = num_vertices;
+  t.in_degree.assign(n, 0);
+  t.out_begin.assign(n + 1, 0);
+  for (const Arc& a : arcs) {
+    ++t.in_degree[a.head];
+    ++t.out_begin[a.tail + 1];
   }
-  // Elements are never removed from `order`.
-  for (std::size_t qi = 0; qi < order.size(); ++qi) {
-    for (const ArcId a : out_arcs(order[qi])) {
+  for (std::size_t v = 0; v < n; ++v) t.out_begin[v + 1] += t.out_begin[v];
+  t.out_list.resize(arcs.size());
+  work.assign(t.out_begin.begin(), t.out_begin.end() - 1);
+  for (ArcId a = 0; a < arcs.size(); ++a) {
+    t.out_list[work[arcs[a].tail]++] = a;
+  }
+
+  // Kahn: `order` receives the sources in ascending id, then serves as
+  // the queue; nothing is ever removed from it.
+  work.assign(t.in_degree.begin(), t.in_degree.end());
+  t.order.resize(n);
+  std::size_t tail = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    if (work[v] == 0) t.order[tail++] = v;
+  }
+  for (std::size_t qi = 0; qi < tail; ++qi) {
+    for (const ArcId a : t.out_arcs(t.order[qi])) {
       const VertexId w = arcs[a].head;
-      if (--indeg[w] == 0) order.push_back(w);
+      if (--work[w] == 0) t.order[tail++] = w;
     }
   }
-  return order.size() == n;
+  t.order.resize(tail);
+  return t;
 }
-
-}  // namespace
 
 std::optional<std::vector<VertexId>> topological_sort(const Digraph& g) {
-  const std::size_t n = g.num_vertices();
-  std::vector<std::uint32_t> indeg(n);
-  for (VertexId v = 0; v < n; ++v) {
-    indeg[v] = static_cast<std::uint32_t>(g.in_degree(v));
-  }
-  std::vector<VertexId> order;
-  const auto out_arcs = [&](VertexId u) { return g.out_arcs(u); };
-  if (!kahn(g.arcs(), indeg, out_arcs, order)) return std::nullopt;
-  return order;
+  const TopoIndex& t = index_topology(g.num_vertices(), g.arcs());
+  if (!t.acyclic()) return std::nullopt;
+  return t.order;
 }
 
-bool is_dag(const Digraph& g) { return topological_sort(g).has_value(); }
+bool is_dag(const Digraph& g) {
+  return index_topology(g.num_vertices(), g.arcs()).acyclic();
+}
 
 std::vector<std::uint32_t> topo_positions(const Digraph& g,
                                           const std::vector<VertexId>& order) {
@@ -71,34 +78,12 @@ void arcs_in_tail_topo_order_into(const Digraph& g, std::vector<ArcId>& out) {
 void arcs_in_tail_topo_order_into(std::size_t num_vertices,
                                   std::span<const Arc> arcs,
                                   std::vector<ArcId>& out) {
-  // Out-lists in CSR form, filled in arc id order.
-  thread_local std::vector<std::uint32_t> indeg, out_begin, cursor;
-  thread_local std::vector<ArcId> out_list;
-  thread_local std::vector<VertexId> order;
-  indeg.assign(num_vertices, 0);
-  out_begin.assign(num_vertices + 1, 0);
-  for (const Arc& a : arcs) {
-    ++indeg[a.head];
-    ++out_begin[a.tail + 1];
-  }
-  for (std::size_t v = 0; v < num_vertices; ++v) {
-    out_begin[v + 1] += out_begin[v];
-  }
-  out_list.resize(arcs.size());
-  cursor.assign(out_begin.begin(), out_begin.end() - 1);
-  for (ArcId a = 0; a < arcs.size(); ++a) {
-    out_list[cursor[arcs[a].tail]++] = a;
-  }
-  const auto out_arcs = [&](VertexId u) {
-    return std::span<const ArcId>(out_list.data() + out_begin[u],
-                                  out_list.data() + out_begin[u + 1]);
-  };
-  const bool acyclic = kahn(arcs, indeg, out_arcs, order);
-  WDAG_REQUIRE(acyclic, "arcs_in_tail_topo_order: input is not a DAG");
+  const TopoIndex& t = index_topology(num_vertices, arcs);
+  WDAG_REQUIRE(t.acyclic(), "arcs_in_tail_topo_order: input is not a DAG");
   out.clear();
   out.reserve(arcs.size());
-  for (const VertexId v : order) {
-    for (const ArcId a : out_arcs(v)) out.push_back(a);
+  for (const VertexId v : t.order) {
+    for (const ArcId a : t.out_arcs(v)) out.push_back(a);
   }
   WDAG_ASSERT(out.size() == arcs.size(),
               "arcs_in_tail_topo_order: arc count mismatch");

@@ -1,10 +1,12 @@
 #pragma once
 // Disjoint-set forest with union by rank and path halving.
 //
-// Used by the internal-cycle detector: restricting the underlying
-// multigraph of a DAG to its internal vertices, a repeated union is exactly
-// the witness that an internal cycle exists (docs/ARCHITECTURE.md,
-// "Internal cycles by union-find").
+// Used by the host index's internal-cycle count (dag/host_index.cpp):
+// restricting the underlying multigraph of a DAG to its internal vertices,
+// a repeated union is exactly the witness that an internal cycle exists
+// (docs/ARCHITECTURE.md, "Host index"). The index keeps one per thread and
+// reset() reuses its storage, so a warm count allocates nothing. The cycle
+// basis and the underlying components use it too.
 
 #include <cstdint>
 #include <vector>

@@ -534,6 +534,28 @@ TEST(ExactGoldenTest, CertifyExactMix) {
   }
 }
 
+// try_color_with decides "no" by the exact clique number before it
+// searches: a one-node budget would throw if it searched at all.
+TEST(TryColorWithTest, ExactCliqueRefutesBeforeSearch) {
+  // K4 on 4..7, plus two triangles {0, 4, 5} and {1, 6, 7}. Grown in id
+  // order, every seed's greedy clique takes 0 or 1 first and stops at
+  // three vertices.
+  const ConflictGraph hand(8, {{4, 5}, {4, 6}, {4, 7}, {5, 6}, {5, 7},
+                               {6, 7}, {0, 4}, {0, 5}, {1, 6}, {1, 7}});
+  ASSERT_EQ(greedy_clique(hand).size(), 3u);
+  ASSERT_EQ(max_clique(hand).size(), 4u);
+  EXPECT_FALSE(try_color_with(hand, 3, /*node_budget=*/1).has_value());
+
+  // Certify-exact's seed-2 draw 485: 43 dipaths, omega = chi = 8, and a
+  // greedy clique of 7. Refuting k = 7 by search took half a second.
+  Xoshiro256 rng(item_seed(2, 485));
+  const ConflictGraph drawn(certify_exact_draw(rng).family);
+  ASSERT_EQ(drawn.size(), 43u);
+  ASSERT_EQ(greedy_clique(drawn).size(), 7u);
+  ASSERT_EQ(max_clique(drawn).size(), 8u);
+  EXPECT_FALSE(try_color_with(drawn, 7, /*node_budget=*/1).has_value());
+}
+
 TEST(ExactGoldenTest, UppMixCertifications) {
   // The certifications the solve pipeline runs on upp-mix: the
   // dispatched colouring above pi, on at most 48 dipaths, searched

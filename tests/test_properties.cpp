@@ -40,11 +40,9 @@ TEST(PropertiesTest, IsolatedVertexIsNeitherSourceNorInternal) {
   DigraphBuilder b(3);
   b.add_arc(0, 1);
   const Digraph g = b.build();
-  const auto stats = degree_stats(g);
-  EXPECT_EQ(stats.num_isolated, 1u);
   // Isolated vertices count as sources AND sinks degree-wise.
-  EXPECT_EQ(stats.num_sources, 2u);
-  EXPECT_EQ(stats.num_sinks, 2u);
+  EXPECT_EQ(sources(g), (std::vector<VertexId>{0, 2}));
+  EXPECT_EQ(sinks(g), (std::vector<VertexId>{1, 2}));
   EXPECT_TRUE(internal_vertices(g).empty());
 }
 
@@ -76,16 +74,6 @@ TEST(PropertiesTest, ConnectivityIgnoresDirection) {
   b.add_arc(0, 2);
   b.add_arc(1, 2);  // 0 and 1 connected only through head-sharing
   EXPECT_TRUE(is_underlying_connected(b.build()));
-}
-
-TEST(PropertiesTest, DegreeStats) {
-  const Digraph g = wdag::test::diamond();
-  const auto s = degree_stats(g);
-  EXPECT_EQ(s.max_out, 2u);
-  EXPECT_EQ(s.max_in, 2u);
-  EXPECT_EQ(s.num_sources, 1u);
-  EXPECT_EQ(s.num_sinks, 1u);
-  EXPECT_EQ(s.num_isolated, 0u);
 }
 
 TEST(PropertiesTest, EmptyGraph) {
